@@ -2,17 +2,22 @@
 // query on each system.
 //
 // The paper counts the minimal auto-formatted code needed to run each query
-// per system, plus any supporting extension code. Here each engine's
-// per-query implementation is delimited by "vr:<query>:begin/end" markers in
-// its source file; this bench reads the sources (via the compiled-in source
-// root) and counts non-empty, non-marker lines — the same methodology at the
-// granularity this codebase expresses queries.
+// per system, plus any supporting extension code. Here each query is written
+// once, in src/systems/query_engine.cc, as a sequence of engine hook calls;
+// an engine's query-specific hooks live in its own source file. Both are
+// delimited by "vr:<queries>:begin/end" markers, where <queries> is one query
+// name or a comma-separated list (a hook several queries share). A query's
+// count on an engine is the marked lines of its shared body plus that
+// engine's marked hook lines for the query, counting non-empty, non-comment
+// lines; the engine's Supports() decides where the table shows "-".
 
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 
@@ -24,17 +29,21 @@ std::map<std::string, int> CountMarkedSections(const std::string& path) {
   std::ifstream file(path);
   if (!file) return counts;
   std::string line;
-  std::string active;
+  std::vector<std::string> active;
   while (std::getline(file, line)) {
     size_t begin = line.find("// vr:");
     if (begin != std::string::npos) {
       std::string marker = line.substr(begin + 6);
-      size_t colon = marker.find(':');
+      size_t colon = marker.rfind(':');
       if (colon != std::string::npos) {
-        std::string query = marker.substr(0, colon);
         std::string kind = marker.substr(colon + 1);
         if (kind.find("begin") == 0) {
-          active = query;
+          active.clear();
+          std::stringstream names(marker.substr(0, colon));
+          for (std::string name; std::getline(names, name, ',');) {
+            active.push_back(name);
+            counts[name] += 0;
+          }
           continue;
         }
         if (kind.find("end") == 0) {
@@ -51,52 +60,58 @@ std::map<std::string, int> CountMarkedSections(const std::string& path) {
     }
     if (trimmed.empty()) continue;
     if (trimmed.rfind("//", 0) == 0) continue;
-    ++counts[active];
+    for (const std::string& name : active) ++counts[name];
   }
   return counts;
 }
 
 int Run() {
   PrintBanner("Figure 7 - Lines of code per query per system",
-              "Counting marked per-query implementation sections.");
+              "Counting marked shared query bodies plus each engine's marked "
+              "hooks.");
 
   const std::string root = VISUALROAD_SOURCE_DIR;
+  const std::string shared_path = root + "/src/systems/query_engine.cc";
+  const std::map<std::string, int> shared = CountMarkedSections(shared_path);
+  if (shared.empty()) {
+    std::fprintf(stderr, "no marked sections found in %s\n", shared_path.c_str());
+    return 1;
+  }
   struct EngineSource {
-    const char* name;
+    std::unique_ptr<systems::Vdbms> engine;
     std::string path;
   };
-  const EngineSource sources[] = {
-      {"BatchEngine", root + "/src/systems/batch_engine.cc"},
-      {"PipelineEngine", root + "/src/systems/pipeline_engine.cc"},
-      {"CascadeEngine", root + "/src/systems/cascade_engine.cc"},
+  const systems::EngineOptions options;
+  EngineSource sources[] = {
+      {systems::MakeBatchEngine(options), root + "/src/systems/batch_engine.cc"},
+      {systems::MakePipelineEngine(options), root + "/src/systems/pipeline_engine.cc"},
+      {systems::MakeCascadeEngine(options), root + "/src/systems/cascade_engine.cc"},
   };
 
-  std::map<std::string, std::map<std::string, int>> counts;
-  for (const EngineSource& source : sources) {
-    counts[source.name] = CountMarkedSections(source.path);
-    if (counts[source.name].empty()) {
-      std::fprintf(stderr, "no marked sections found in %s\n",
-                   source.path.c_str());
-      return 1;
-    }
-  }
-
   driver::TextTable table;
-  table.SetHeader({"Query", "BatchEngine", "PipelineEngine", "CascadeEngine"});
+  std::vector<std::string> header{"Query"};
+  for (const EngineSource& source : sources) header.push_back(source.engine->name());
+  table.SetHeader(header);
   int totals[3] = {0, 0, 0};
+  std::map<std::string, int> hooks[3];
+  for (int e = 0; e < 3; ++e) hooks[e] = CountMarkedSections(sources[e].path);
   for (queries::QueryId id : queries::AllQueries()) {
     std::string name = queries::QueryName(id);
+    auto body = shared.find(name);
+    if (body == shared.end()) {
+      std::fprintf(stderr, "no shared body marked for %s\n", name.c_str());
+      return 1;
+    }
     std::vector<std::string> row{name};
-    int e = 0;
-    for (const EngineSource& source : sources) {
-      auto it = counts[source.name].find(name);
-      if (it == counts[source.name].end()) {
+    for (int e = 0; e < 3; ++e) {
+      if (!sources[e].engine->Supports(id)) {
         row.push_back("-");
-      } else {
-        row.push_back(std::to_string(it->second));
-        totals[e] += it->second;
+        continue;
       }
-      ++e;
+      auto hook = hooks[e].find(name);
+      int lines = body->second + (hook == hooks[e].end() ? 0 : hook->second);
+      row.push_back(std::to_string(lines));
+      totals[e] += lines;
     }
     table.AddRow(row);
   }

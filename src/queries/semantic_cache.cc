@@ -181,8 +181,18 @@ struct SemanticCache::Impl {
       ++stats.evictions;
       instruments.evictions.Increment();
     }
-    instruments.bytes_in_use.Set(static_cast<double>(bytes_in_use));
-    instruments.entries.Set(static_cast<double>(entry_count));
+    PublishLocked();
+  }
+
+  /// Moves the process-wide resident gauges by this cache's change since it
+  /// last published, so they sum over every live cache. Caller holds the
+  /// lock.
+  void PublishLocked() {
+    auto& instruments = Instruments::Get();
+    instruments.bytes_in_use.Add(static_cast<double>(bytes_in_use - published_bytes));
+    instruments.entries.Add(static_cast<double>(entry_count - published_entries));
+    published_bytes = bytes_in_use;
+    published_entries = entry_count;
   }
 
   SemanticCacheOptions options;
@@ -193,6 +203,8 @@ struct SemanticCache::Impl {
   int64_t capacity_bytes = 0;
   int64_t bytes_in_use = 0;
   int64_t entry_count = 0;
+  int64_t published_bytes = 0;    // This cache's share of the gauges.
+  int64_t published_entries = 0;
   SemanticCacheStats stats;
 };
 
@@ -201,7 +213,8 @@ SemanticCache::SemanticCache(const SemanticCacheOptions& options)
   impl_->capacity_bytes = options.capacity_bytes;
 }
 
-SemanticCache::~SemanticCache() = default;
+// Clearing takes this cache's share out of the process-wide gauges.
+SemanticCache::~SemanticCache() { Clear(); }
 
 SemanticCache& SemanticCache::Global() {
   static SemanticCache* cache = new SemanticCache();
@@ -524,9 +537,7 @@ void SemanticCache::Clear() {
   impl_->entries.clear();
   impl_->bytes_in_use = 0;
   impl_->entry_count = 0;
-  auto& instruments = Instruments::Get();
-  instruments.bytes_in_use.Set(0);
-  instruments.entries.Set(0);
+  impl_->PublishLocked();
 }
 
 void SemanticCache::set_capacity_bytes(int64_t bytes) {

@@ -12,629 +12,231 @@
 // The CNN path runs the detector at an enlarged input resolution, modelling
 // the heavyweight Caffe execution path the paper calls out for Q2(c).
 //
-// Lines between "vr:<query>:begin/end" markers are counted by the Figure 7
-// lines-of-code bench.
+// The queries are written once in query_engine.cc; this file holds the batch
+// engine's hooks. Hook lines between "vr:<query>:begin/end" markers count
+// toward that query in the Figure 7 lines-of-code bench.
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <memory>
 
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "systems/vdbms.h"
-#include "video/codec/gop_cache.h"
+#include "systems/query_engine.h"
 #include "video/image_ops.h"
 #include "vision/background.h"
 #include "vision/overlay.h"
-#include "vision/tiling.h"
 
 namespace visualroad::systems {
 
 namespace {
 
-using queries::QueryId;
 using queries::QueryInstance;
 using video::Frame;
 using video::Video;
 
-class BatchEngine : public Vdbms {
+class BatchEngine : public QueryEngine {
  public:
   explicit BatchEngine(const EngineOptions& options)
-      : options_(options),
-        pool_(options.threads, "engine_stage"),
-        gop_cache_(&detail::ResolveGopCache(options)) {
-    detector_options_ = options.detector;
-    detector_options_.input_size = 224;  // The heavyweight framework path.
-    detector_ = std::make_unique<vision::MiniYolo>(detector_options_);
-    model_fingerprint_ = queries::ModelFingerprint(detector_options_, "miniyolo");
-  }
-
-  const char* name() const override { return "BatchEngine"; }
-
-  bool Supports(QueryId id) const override {
-    (void)id;
-    return true;  // General-purpose; Q4 can still fail at runtime on memory.
-  }
-
-  /// All mutable engine state is atomic (counters, retained-table
-  /// accounting) or per-call (spill files, stage completion), so the VCD may
-  /// fan batch instances out to this engine concurrently.
-  bool ConcurrentSafe() const override { return true; }
+      : QueryEngine(options, {.name = "BatchEngine",
+                              .label = "batch",
+                              .map_span = "batch_stage",
+                              // The heavyweight framework path.
+                              .detector_input_size = 224}),
+        pool_(options.threads, "engine_stage") {}
 
   void Quiesce() override {
     retained_bytes_ = 0;
-    gop_cache_->Clear();
-  }
-
-  EngineStats stats() const override {
-    EngineStats stats;
-    stats.frames_decoded = decode_counters_.frames_decoded.load() +
-                           frames_decoded_extra_.load();
-    stats.frames_encoded = frames_encoded_.load();
-    stats.cache_hits = decode_counters_.hits.load();
-    stats.cache_misses = decode_counters_.misses.load();
-    stats.chunked_redecodes = chunked_redecodes_.load();
-    stats.cnn_frames_full = cnn_frames_full_.load();
-    return stats;
-  }
-
-  std::string Explain(const QueryInstance& instance,
-                      const sim::Dataset& dataset) override {
-    StatusOr<const sim::VideoAsset*> asset = detail::InputAsset(instance, dataset);
-    if (!asset.ok()) return "";
-    const video::codec::EncodedVideo& meta = (*asset)->container.video;
-    queries::PlanContext context;
-    context.meta.identity = video::codec::StreamIdentity(meta);
-    context.meta.frame_count = meta.FrameCount();
-    context.meta.width = meta.width;
-    context.meta.height = meta.height;
-    context.meta.fps = meta.fps;
-    // Eager materialisation: this engine never trims the decode window.
-    context.temporal_pushdown = false;
-    context.cache = options_.semantic_cache;
-    context.key = SemanticKeyFor(meta);
-    if (instance.id == QueryId::kQ2c || instance.id == QueryId::kQ7) {
-      context.stages = {"miniyolo224"};
-    }
-    return std::string(name()) + ": " +
-           queries::ExplainPlan(queries::PlanQuery(instance, context));
-  }
-
-  StatusOr<QueryOutput> Execute(const QueryInstance& instance,
-                                const sim::Dataset& dataset, OutputMode mode,
-                                const std::string& output_dir,
-                                EngineStats* call_stats = nullptr) override {
-    trace::Span span(std::string("batch:") + queries::QueryName(instance.id));
-    CallCounters call;
-    StatusOr<QueryOutput> result =
-        ExecuteImpl(instance, dataset, mode, output_dir, call);
-    Fold(call);
-    mirror_.Publish(stats());
-    if (call_stats != nullptr) *call_stats = AsStats(call);
-    return result;
+    QueryEngine::Quiesce();
   }
 
  private:
-  /// Counters for exactly one Execute() call, threaded through every stage
-  /// and folded into the cumulative atomics afterwards. The decode counters
-  /// are the atomic GopCacheCounters because the codec may update them from
-  /// its own pool threads. Retained-table accounting (retained_bytes_) stays
-  /// on the engine: it is cross-call state by design.
-  struct CallCounters {
-    video::codec::GopCacheCounters decode;
-    int64_t frames_decoded_extra = 0;
-    int64_t frames_encoded = 0;
-    int64_t chunked_redecodes = 0;
-    int64_t cnn_frames_full = 0;
-  };
-
-  void Fold(const CallCounters& call) {
-    decode_counters_.hits += call.decode.hits.load();
-    decode_counters_.misses += call.decode.misses.load();
-    decode_counters_.frames_decoded += call.decode.frames_decoded.load();
-    frames_decoded_extra_ += call.frames_decoded_extra;
-    frames_encoded_ += call.frames_encoded;
-    chunked_redecodes_ += call.chunked_redecodes;
-    cnn_frames_full_ += call.cnn_frames_full;
-  }
-
-  /// The per-call window mapped the same way stats() maps the cumulative
-  /// counters.
-  static EngineStats AsStats(const CallCounters& call) {
-    EngineStats stats;
-    stats.frames_decoded =
-        call.decode.frames_decoded.load() + call.frames_decoded_extra;
-    stats.frames_encoded = call.frames_encoded;
-    stats.cache_hits = call.decode.hits.load();
-    stats.cache_misses = call.decode.misses.load();
-    stats.chunked_redecodes = call.chunked_redecodes;
-    stats.cnn_frames_full = call.cnn_frames_full;
-    return stats;
-  }
-
-  StatusOr<QueryOutput> ExecuteImpl(const QueryInstance& instance,
-                                    const sim::Dataset& dataset, OutputMode mode,
-                                    const std::string& output_dir,
-                                    CallCounters& call);
-  /// Full eager decode of an input through the shared GOP cache;
-  /// retained-table accounting drives the memory-pressure regime either way
-  /// (the materialised table is this engine's copy, hit or miss). The
-  /// bitstream comes from the storage service when one is configured.
-  StatusOr<Video> MaterializeAll(const sim::VideoAsset& asset,
-                                 CallCounters& call) {
+  /// Full eager decode through the shared GOP cache. The materialised table
+  /// is this engine's copy, hit or miss, so it joins the retained set.
+  StatusOr<Video> Decode(const video::codec::EncodedVideo& encoded,
+                         Call& call) override {
     TRACE_SPAN("materialize_input");
-    VR_ASSIGN_OR_RETURN(std::shared_ptr<const video::codec::EncodedVideo> encoded,
-                        detail::ResolveInput(asset, options_));
-    VR_ASSIGN_OR_RETURN(
-        Video decoded,
-        video::codec::CachedDecode(*encoded, *gop_cache_, &call.decode));
-    retained_bytes_ += static_cast<int64_t>(decoded.FrameCount()) *
-                       detail::FrameBytes(decoded.Width(), decoded.Height());
+    VR_ASSIGN_OR_RETURN(Video decoded,
+                        video::codec::CachedDecode(encoded, gop_cache_, &call.decode));
+    Retain(decoded);
     return decoded;
   }
 
-  bool UnderPressure() const { return retained_bytes_ > options_.memory_budget_bytes; }
-
-  /// In the pressure regime, every stage's output is written to disk and
-  /// read back (Scanner-style disk-backed tables). Each call gets its own
-  /// file so concurrent instances cannot clobber one another's spills.
-  Status MaybeSpill(Video& video, CallCounters& call) {
-    if (!UnderPressure() || video.frames.empty()) return Status::Ok();
-    TRACE_SPAN("spill_roundtrip");
-    std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("vr_batch_spill_" + std::to_string(spill_serial_++) + ".tmp"))
-            .string();
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (!out) return Status::IoError("cannot open spill file");
-      for (const Frame& frame : video.frames) {
-        out.write(reinterpret_cast<const char*>(frame.y_plane().data()),
-                  static_cast<std::streamsize>(frame.y_plane().size()));
-        out.write(reinterpret_cast<const char*>(frame.u_plane().data()),
-                  static_cast<std::streamsize>(frame.u_plane().size()));
-        out.write(reinterpret_cast<const char*>(frame.v_plane().data()),
-                  static_cast<std::streamsize>(frame.v_plane().size()));
-      }
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::IoError("cannot re-open spill file");
-    for (Frame& frame : video.frames) {
-      in.read(reinterpret_cast<char*>(frame.y_plane().data()),
-              static_cast<std::streamsize>(frame.y_plane().size()));
-      in.read(reinterpret_cast<char*>(frame.u_plane().data()),
-              static_cast<std::streamsize>(frame.u_plane().size()));
-      in.read(reinterpret_cast<char*>(frame.v_plane().data()),
-              static_cast<std::streamsize>(frame.v_plane().size()));
-    }
-    in.close();
-    std::error_code ec;
-    std::filesystem::remove(path, ec);  // Best-effort cleanup.
-    ++call.chunked_redecodes;
-    return Status::Ok();
+  // vr:Q1:begin
+  /// No lazy temporal selection: the whole input is materialised and the
+  /// window sliced out of it, so the plan must not claim a trimmed window.
+  void Plan(queries::PlanContext& context, queries::QueryId id) const override {
+    QueryEngine::Plan(context, id);
+    context.temporal_pushdown = false;
   }
 
-  /// One materialised stage: applies `fn` to every frame via the worker
-  /// pool. Grain 1 dispatches one task per frame — the kernel-dispatch
-  /// overhead this architecture models — while the status-returning executor
-  /// propagates the first (lowest-frame) failure and keeps per-call
+  StatusOr<Video> DecodeWindow(const sim::VideoAsset& asset, int first, int count,
+                               Call& call) override {
+    VR_ASSIGN_OR_RETURN(Video input, Acquire(asset, call));
+    Video window;
+    window.fps = input.fps;
+    window.frames.assign(input.frames.begin() + first,
+                         input.frames.begin() + first + count);
+    return window;
+  }
+  // vr:Q1:end
+
+  /// Grain 1 dispatches one task per frame: the kernel-dispatch overhead
+  /// this architecture models. The status-returning executor keeps per-call
   /// completion state, so concurrent instances can share the pool.
-  template <typename Fn>
-  StatusOr<Video> Stage(const Video& input, CallCounters& call, Fn&& fn) {
-    TRACE_SPAN("batch_stage");
-    Video output;
-    output.fps = input.fps;
-    output.frames.resize(input.frames.size());
-    VR_RETURN_IF_ERROR(pool_.ParallelForStatus(
-        static_cast<int>(input.frames.size()),
-        [&](int i) {
-          StatusOr<Frame> result = fn(input.frames[static_cast<size_t>(i)], i);
-          if (!result.ok()) return result.status();
-          output.frames[static_cast<size_t>(i)] = std::move(result).value();
-          return Status::Ok();
-        },
-        /*grain=*/1));
-    retained_bytes_ += static_cast<int64_t>(output.FrameCount()) *
-                       detail::FrameBytes(output.Width(), output.Height());
-    VR_RETURN_IF_ERROR(MaybeSpill(output, call));
+  Status ForEachFrame(int frames, const std::function<Status(int)>& body) override {
+    return pool_.ParallelForStatus(frames, body, /*grain=*/1);
+  }
+
+  /// Every stage materialises its output, which joins the retained set.
+  StatusOr<Video> Map(const Video& input, Call& call, const FrameFn& fn) override {
+    VR_ASSIGN_OR_RETURN(Video output, QueryEngine::Map(input, call, fn));
+    Retain(output);
+    VR_RETURN_IF_ERROR(Spill(output, call));
     return output;
   }
 
-  /// Stage running the detector over every frame. Produces detections still
-  /// unfiltered by object class — the representation the semantic cache
-  /// stores, shared by Q2(c) and Q7 across classes.
-  StatusOr<std::vector<std::vector<vision::Detection>>> DetectStage(
-      const Video& input, const std::vector<sim::FrameGroundTruth>& truth,
-      CallCounters& call) {
-    TRACE_SPAN("detect_stage");
-    std::vector<std::vector<vision::Detection>> detections(input.frames.size());
-    static const sim::FrameGroundTruth kEmpty;
-    VR_RETURN_IF_ERROR(pool_.ParallelForStatus(
-        static_cast<int>(input.frames.size()),
-        [&](int i) {
-          const sim::FrameGroundTruth& gt =
-              static_cast<size_t>(i) < truth.size() ? truth[static_cast<size_t>(i)]
-                                                    : kEmpty;
-          detections[static_cast<size_t>(i)] =
-              detector_->Detect(input.frames[static_cast<size_t>(i)], gt, i);
-          return Status::Ok();
-        },
-        /*grain=*/1));
-    call.cnn_frames_full += input.FrameCount();
-    retained_bytes_ += static_cast<int64_t>(input.FrameCount()) *
-                       detail::FrameBytes(input.Width(), input.Height());
-    return detections;
-  }
-
-  queries::SemanticKey SemanticKeyFor(
-      const video::codec::EncodedVideo& encoded) const {
-    queries::SemanticKey key;
-    key.stream = video::codec::StreamIdentity(encoded);
-    key.model = model_fingerprint_;
-    key.threshold = 0.0;  // Raw detector output is what gets materialized.
-    return key;
-  }
-
-  /// Whole-stream unfiltered detections plus render geometry, resolved
-  /// through the semantic cache when one is configured. With a warm cache
-  /// no input table is materialised (and for Q2(c) nothing is decoded at
-  /// all); `materialized` is the input table the caller already holds, so
-  /// a query that materialises anyway (Q7) feeds the compute path directly.
-  struct DetectionSet {
-    int width = 0;
-    int height = 0;
-    double fps = 0.0;
-    std::vector<std::vector<vision::Detection>> detections;
-  };
-  StatusOr<DetectionSet> StreamDetections(const sim::VideoAsset& asset,
-                                          const Video* materialized,
-                                          CallCounters& call) {
-    VR_ASSIGN_OR_RETURN(std::shared_ptr<const video::codec::EncodedVideo> encoded,
-                        detail::ResolveInput(asset, options_));
-    DetectionSet set;
-    set.width = encoded->width;
-    set.height = encoded->height;
-    set.fps = encoded->fps;
-    auto compute_direct = [&]() -> StatusOr<std::vector<std::vector<vision::Detection>>> {
-      if (materialized != nullptr) {
-        return DetectStage(*materialized, asset.ground_truth, call);
-      }
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(asset, call));
-      return DetectStage(input, asset.ground_truth, call);
-    };
-    if (options_.semantic_cache == nullptr) {
-      VR_ASSIGN_OR_RETURN(set.detections, compute_direct());
-      return set;
+  /// In the pressure regime every stage's output is written to disk and read
+  /// back (Scanner-style disk-backed tables). Each spill gets its own
+  /// anonymous temporary file, removed on close, so concurrent instances,
+  /// engines and processes never share one.
+  Status Spill(Video& video, Call& call) override {
+    if (retained_bytes_ <= options_.memory_budget_bytes || video.frames.empty()) {
+      return Status::Ok();
     }
-    queries::SemanticKey key = SemanticKeyFor(*encoded);
-    queries::FrameRange range{0, encoded->FrameCount()};
-    VR_ASSIGN_OR_RETURN(
-        std::shared_ptr<const queries::SemanticEntry> entry,
-        options_.semantic_cache->GetOrCompute(
-            key, range, [&]() -> StatusOr<queries::SemanticEntry> {
-              queries::SemanticEntry fresh;
-              fresh.key = key;
-              fresh.range = range;
-              fresh.width = encoded->width;
-              fresh.height = encoded->height;
-              fresh.fps = encoded->fps;
-              VR_ASSIGN_OR_RETURN(fresh.detections, compute_direct());
-              fresh.RecomputeBytes();
-              return fresh;
-            }));
-    set.detections = queries::SemanticCache::Slice(*entry, range);
-    return set;
-  }
-
-  /// FinishVideoResult with the encoded-frame count folded into the atomic
-  /// counter (the shared helper writes through a plain pointer).
-  Status Finish(const Video& result, const QueryInstance& instance,
-                OutputMode mode, const std::string& output_dir,
-                QueryOutput& output, CallCounters& call) {
-    int64_t encoded = 0;
-    Status status = detail::FinishVideoResult(result, instance, options_, mode,
-                                              output_dir, name(), output, &encoded);
-    call.frames_encoded += encoded;
-    return status;
-  }
-
-  EngineOptions options_;
-  ThreadPool pool_;
-  vision::DetectorOptions detector_options_;
-  std::string model_fingerprint_;
-  std::unique_ptr<vision::MiniYolo> detector_;
-  video::codec::GopCache* gop_cache_;
-  video::codec::GopCacheCounters decode_counters_;
-  std::atomic<int64_t> frames_decoded_extra_{0};  // Stitch inputs (Q9/Q10).
-  std::atomic<int64_t> frames_encoded_{0};
-  std::atomic<int64_t> chunked_redecodes_{0};
-  std::atomic<int64_t> cnn_frames_full_{0};
-  std::atomic<int64_t> retained_bytes_{0};
-  std::atomic<int64_t> spill_serial_{0};
-  detail::EngineMetricsMirror mirror_{"batch"};
-};
-
-StatusOr<QueryOutput> BatchEngine::ExecuteImpl(const QueryInstance& instance,
-                                               const sim::Dataset& dataset,
-                                               OutputMode mode,
-                                               const std::string& output_dir,
-                                               CallCounters& call) {
-  QueryOutput output;
-  queries::ReferenceContext context;
-  context.dataset = &dataset;
-  context.detector_options = detector_options_;
-  context.plate_match_threshold = options_.plate_match_threshold;
-
-  switch (instance.id) {
-    case QueryId::kQ1: {
-      // vr:Q1:begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(*asset, call));
-      int first = std::clamp(static_cast<int>(instance.q1_t1 * input.fps), 0,
-                             input.FrameCount() - 1);
-      int last = std::clamp(static_cast<int>(std::ceil(instance.q1_t2 * input.fps)),
-                            first + 1, input.FrameCount());
-      Video trimmed;
-      trimmed.fps = input.fps;
-      trimmed.frames.assign(input.frames.begin() + first,
-                            input.frames.begin() + last);
-      VR_ASSIGN_OR_RETURN(Video cropped, Stage(trimmed, call, [&](const Frame& f, int) {
-                            return video::Crop(f, instance.q1_rect);
-                          }));
-      VR_RETURN_IF_ERROR(Finish(cropped, instance, mode, output_dir, output, call));
-      // vr:Q1:end
-      return output;
-    }
-    case QueryId::kQ2a: {
-      // vr:Q2(a):begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(*asset, call));
-      VR_ASSIGN_OR_RETURN(Video gray, Stage(input, call, [](const Frame& f, int) {
-                            return StatusOr<Frame>(video::Grayscale(f));
-                          }));
-      VR_RETURN_IF_ERROR(Finish(gray, instance, mode, output_dir, output, call));
-      // vr:Q2(a):end
-      return output;
-    }
-    case QueryId::kQ2b: {
-      // vr:Q2(b):begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(*asset, call));
-      VR_ASSIGN_OR_RETURN(Video blurred, Stage(input, call, [&](const Frame& f, int) {
-                            return video::GaussianBlur(f, instance.q2b_d);
-                          }));
-      VR_RETURN_IF_ERROR(Finish(blurred, instance, mode, output_dir, output, call));
-      // vr:Q2(b):end
-      return output;
-    }
-    case QueryId::kQ2c: {
-      // vr:Q2(c):begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      // With a warm semantic cache the input table is never materialised and
-      // the decoder never runs; the box video renders from cached detections.
-      VR_ASSIGN_OR_RETURN(DetectionSet set,
-                          StreamDetections(*asset, /*materialized=*/nullptr, call));
-      queries::ReferenceResult result = queries::RenderBoxesFromDetections(
-          set.width, set.height, set.fps, set.detections, instance.object_class);
-      output.detections = std::move(result.detections);
-      VR_RETURN_IF_ERROR(Finish(result.video, instance, mode, output_dir, output, call));
-      // vr:Q2(c):end
-      return output;
-    }
-    case QueryId::kQ2d: {
-      // vr:Q2(d):begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(*asset, call));
-      // Materialised window sums: the batch architecture's natural (and
-      // fast) mean-filter implementation.
-      VR_ASSIGN_OR_RETURN(Video masked,
-                          vision::MaskBackgroundRunning(input, instance.q2d_m,
-                                                        instance.q2d_epsilon));
-      VR_RETURN_IF_ERROR(MaybeSpill(masked, call));
-      VR_RETURN_IF_ERROR(Finish(masked, instance, mode, output_dir, output, call));
-      // vr:Q2(d):end
-      return output;
-    }
-    case QueryId::kQ3: {
-      // vr:Q3:begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(*asset, call));
-      VR_ASSIGN_OR_RETURN(Video tiled,
-                          vision::TiledReencode(input, instance.q3_dx, instance.q3_dy,
-                                                instance.q3_bitrates,
-                                                options_.output_profile));
-      VR_RETURN_IF_ERROR(MaybeSpill(tiled, call));
-      VR_RETURN_IF_ERROR(Finish(tiled, instance, mode, output_dir, output, call));
-      // vr:Q3:end
-      return output;
-    }
-    case QueryId::kQ4: {
-      // vr:Q4:begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      const video::codec::EncodedVideo& encoded = asset->container.video;
-      // Eager materialisation sizes the entire upsampled table up front, and
-      // tables are retained for the whole batch, so successive Q4 instances
-      // push the engine over its ceiling — the paper's Scanner deployment
-      // "quickly allocates all available memory and thereafter fails to make
-      // progress" on this query.
-      int64_t output_bytes =
-          static_cast<int64_t>(encoded.FrameCount()) *
-          detail::FrameBytes(encoded.width * instance.q45_alpha,
-                             encoded.height * instance.q45_beta);
-      if (retained_bytes_ + output_bytes > options_.memory_fail_bytes) {
-        retained_bytes_ += output_bytes;  // The doomed allocation still counts.
-        return Status::ResourceExhausted(
-            "Q4 upsample table exceeds the engine memory ceiling");
-      }
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(*asset, call));
-      VR_ASSIGN_OR_RETURN(Video up, Stage(input, call, [&](const Frame& f, int) {
-                            return video::BilinearResize(
-                                f, f.width() * instance.q45_alpha,
-                                f.height() * instance.q45_beta);
-                          }));
-      VR_RETURN_IF_ERROR(Finish(up, instance, mode, output_dir, output, call));
-      // vr:Q4:end
-      return output;
-    }
-    case QueryId::kQ5: {
-      // vr:Q5:begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(*asset, call));
-      VR_ASSIGN_OR_RETURN(Video down, Stage(input, call, [&](const Frame& f, int) {
-                            return video::Downsample(
-                                f, std::max(1, f.width() / instance.q45_alpha),
-                                std::max(1, f.height() / instance.q45_beta));
-                          }));
-      VR_RETURN_IF_ERROR(Finish(down, instance, mode, output_dir, output, call));
-      // vr:Q5:end
-      return output;
-    }
-    case QueryId::kQ6a: {
-      // vr:Q6(a):begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(*asset, call));
-      // Consume the VCD's serialized box-sequence input format: parse the
-      // class-id/coordinate records and rasterise a box table to join.
-      const video::container::MetadataTrack* box_track =
-          asset->container.FindTrack("BOXS");
-      if (box_track == nullptr) {
-        return Status::FailedPrecondition("input has no serialized box stream");
-      }
-      VR_ASSIGN_OR_RETURN(std::vector<std::vector<vision::Detection>> boxes,
-                          vision::ParseDetections(box_track->payload));
-      Video box_table;
-      box_table.fps = input.fps;
-      for (size_t f = 0; f < boxes.size(); ++f) {
-        box_table.frames.push_back(vision::RenderDetectionFrame(
-            input.Width(), input.Height(), boxes[f]));
-      }
-      VR_RETURN_IF_ERROR(MaybeSpill(box_table, call));
-      VR_ASSIGN_OR_RETURN(Video merged,
-                          queries::UnionBoxesQuery(input, box_table));
-      VR_RETURN_IF_ERROR(MaybeSpill(merged, call));
-      output.detections = std::move(boxes);
-      VR_RETURN_IF_ERROR(Finish(merged, instance, mode, output_dir, output, call));
-      // vr:Q6(a):end
-      return output;
-    }
-    case QueryId::kQ6b: {
-      // vr:Q6(b):begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      const video::container::MetadataTrack* track =
-          asset->container.FindTrack("WVTT");
-      if (track == nullptr) {
-        return Status::FailedPrecondition("input has no caption track");
-      }
-      VR_ASSIGN_OR_RETURN(video::WebVttDocument captions,
-                          video::ParseWebVtt(std::string(track->payload.begin(),
-                                                         track->payload.end())));
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(*asset, call));
-      // Batch trick: caption overlays are pre-rendered once per distinct
-      // active-cue set and reused across every frame that set covers.
-      std::vector<Frame> overlay_cache;
-      std::vector<int> overlay_index(input.frames.size(), -1);
-      std::vector<const video::WebVttCue*> last_active;
-      for (int f = 0; f < input.FrameCount(); ++f) {
-        double seconds = f / input.fps;
-        std::vector<const video::WebVttCue*> active = captions.ActiveAt(seconds);
-        if (overlay_cache.empty() || active != last_active) {
-          overlay_cache.push_back(vision::RenderCaptionFrame(
-              input.Width(), input.Height(), captions, seconds));
-          last_active = std::move(active);
-        }
-        overlay_index[static_cast<size_t>(f)] =
-            static_cast<int>(overlay_cache.size()) - 1;
-      }
-      VR_ASSIGN_OR_RETURN(Video merged, Stage(input, call, [&](const Frame& f, int i) {
-        const Frame& overlay =
-            overlay_cache[static_cast<size_t>(overlay_index[static_cast<size_t>(i)])];
-        Frame merged_frame(f.width(), f.height());
-        for (int y = 0; y < f.height(); ++y) {
-          for (int x = 0; x < f.width(); ++x) {
-            video::Yuv pixel = video::OmegaCoalesce(
-                {f.Y(x, y), f.U(x, y), f.V(x, y)},
-                {overlay.Y(x, y), overlay.U(x, y), overlay.V(x, y)});
-            merged_frame.SetPixel(x, y, pixel.y, pixel.u, pixel.v);
+    TRACE_SPAN("spill_roundtrip");
+    std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(std::tmpfile(), &std::fclose);
+    if (file == nullptr) return Status::IoError("cannot create spill file");
+    auto each_plane = [&](auto transfer, const char* error) {
+      for (Frame& frame : video.frames) {
+        for (std::vector<uint8_t>* plane :
+             {&frame.y_plane(), &frame.u_plane(), &frame.v_plane()}) {
+          if (transfer(plane->data(), plane->size()) != plane->size()) {
+            return Status::IoError(error);
           }
         }
-        return StatusOr<Frame>(std::move(merged_frame));
-      }));
-      VR_RETURN_IF_ERROR(Finish(merged, instance, mode, output_dir, output, call));
-      // vr:Q6(b):end
-      return output;
+      }
+      return Status::Ok();
+    };
+    VR_RETURN_IF_ERROR(each_plane(
+        [&](uint8_t* data, size_t size) { return std::fwrite(data, 1, size, file.get()); },
+        "short write to spill file"));
+    if (std::fflush(file.get()) != 0 || std::fseek(file.get(), 0, SEEK_SET) != 0) {
+      return Status::IoError("cannot rewind spill file");
     }
-    case QueryId::kQ7: {
-      // vr:Q7:begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      VR_ASSIGN_OR_RETURN(Video input, MaterializeAll(*asset, call));
-      // Union/mask are pixel-level stages, so Q7 always materialises the
-      // input; a warm semantic cache still skips the CNN stage.
-      VR_ASSIGN_OR_RETURN(DetectionSet set, StreamDetections(*asset, &input, call));
-      queries::ReferenceResult boxes = queries::RenderBoxesFromDetections(
-          set.width, set.height, set.fps, set.detections, instance.object_class);
-      VR_ASSIGN_OR_RETURN(Video merged,
-                          queries::UnionBoxesQuery(input, boxes.video));
-      VR_RETURN_IF_ERROR(MaybeSpill(merged, call));
-      VR_ASSIGN_OR_RETURN(Video masked,
-                          vision::MaskBackgroundRunning(merged, instance.q2d_m,
-                                                        instance.q2d_epsilon));
-      output.detections = std::move(boxes.detections);
-      VR_RETURN_IF_ERROR(Finish(masked, instance, mode, output_dir, output, call));
-      // vr:Q7:end
-      return output;
-    }
-    case QueryId::kQ8: {
-      // vr:Q8:begin
-      VR_ASSIGN_OR_RETURN(Video tracking,
-                          queries::TrackingQuery(context, instance.q8_plate,
-                                                 nullptr));
-      call.cnn_frames_full += tracking.FrameCount();
-      VR_RETURN_IF_ERROR(Finish(tracking, instance, mode, output_dir, output, call));
-      // vr:Q8:end
-      return output;
-    }
-    case QueryId::kQ9: {
-      // vr:Q9:begin
-      VR_ASSIGN_OR_RETURN(Video stitched,
-                          queries::StitchQuery(context, instance.pano_group));
-      call.frames_decoded_extra += 4 * stitched.FrameCount();
-      VR_RETURN_IF_ERROR(MaybeSpill(stitched, call));
-      VR_RETURN_IF_ERROR(Finish(stitched, instance, mode, output_dir, output, call));
-      // vr:Q9:end
-      return output;
-    }
-    case QueryId::kQ10: {
-      // vr:Q10:begin
-      VR_ASSIGN_OR_RETURN(Video stitched,
-                          queries::StitchQuery(context, instance.pano_group));
-      call.frames_decoded_extra += 4 * stitched.FrameCount();
-      VR_ASSIGN_OR_RETURN(
-          Video result,
-          queries::TileStreamQuery(stitched, instance.q10_bitrates,
-                                   instance.q10_client_width,
-                                   instance.q10_client_height,
-                                   options_.output_profile));
-      VR_RETURN_IF_ERROR(Finish(result, instance, mode, output_dir, output, call));
-      // vr:Q10:end
-      return output;
-    }
+    VR_RETURN_IF_ERROR(each_plane(
+        [&](uint8_t* data, size_t size) { return std::fread(data, 1, size, file.get()); },
+        "short read from spill file"));
+    ++call.counted.chunked_redecodes;
+    return Status::Ok();
   }
-  return Status::Unimplemented("unknown query");
-}
+
+  // vr:Q2(c),Q7:begin
+  /// The detector's input table is retained like any other stage's.
+  StatusOr<Detections> Detect(const QueryInstance& instance,
+                              const sim::VideoAsset& asset, const Video& input,
+                              Call& call) override {
+    VR_ASSIGN_OR_RETURN(Detections detections,
+                        QueryEngine::Detect(instance, asset, input, call));
+    Retain(input);
+    return detections;
+  }
+  // vr:Q2(c),Q7:end
+
+  // vr:Q2(d),Q7:begin
+  /// Materialised window sums: the batch architecture's natural (and fast)
+  /// mean-filter implementation.
+  StatusOr<Video> MaskBackground(const Video& input,
+                                 const QueryInstance& instance) override {
+    return vision::MaskBackgroundRunning(input, instance.q2d_m, instance.q2d_epsilon);
+  }
+  // vr:Q2(d),Q7:end
+
+  // vr:Q4:begin
+  /// Eager materialisation sizes the entire upsampled table up front, and
+  /// tables are retained for the whole batch, so successive Q4 instances
+  /// push the engine over its ceiling — the paper's Scanner deployment
+  /// "quickly allocates all available memory and thereafter fails to make
+  /// progress" on this query.
+  Status AdmitUpsample(const QueryInstance& instance,
+                       const video::codec::EncodedVideo& encoded) override {
+    int64_t output_bytes = static_cast<int64_t>(encoded.FrameCount()) *
+                           detail::FrameBytes(encoded.width * instance.q45_alpha,
+                                              encoded.height * instance.q45_beta);
+    if (retained_bytes_ + output_bytes > options_.memory_fail_bytes) {
+      retained_bytes_ += output_bytes;  // The doomed allocation still counts.
+      return Status::ResourceExhausted(
+          "Q4 upsample table exceeds the engine memory ceiling");
+    }
+    return Status::Ok();
+  }
+  // vr:Q4:end
+
+  // vr:Q6(a):begin
+  /// Consumes the VCD's serialized box-sequence input format: parses the
+  /// class-id/coordinate records and rasterises a box table to join.
+  StatusOr<Video> BoxVideo(const sim::VideoAsset& asset, const Video& input,
+                           QueryOutput& output, Call& call) override {
+    const video::container::MetadataTrack* track = asset.container.FindTrack("BOXS");
+    if (track == nullptr) {
+      return Status::FailedPrecondition("input has no serialized box stream");
+    }
+    VR_ASSIGN_OR_RETURN(output.detections, vision::ParseDetections(track->payload));
+    Video table;
+    table.fps = input.fps;
+    for (const std::vector<vision::Detection>& boxes : output.detections) {
+      table.frames.push_back(
+          vision::RenderDetectionFrame(input.Width(), input.Height(), boxes));
+    }
+    VR_RETURN_IF_ERROR(Spill(table, call));
+    return table;
+  }
+  // vr:Q6(a):end
+
+  // vr:Q6(b):begin
+  /// Batch trick: caption overlays are pre-rendered once per distinct
+  /// active-cue set and reused across every frame that set covers.
+  StatusOr<Video> Caption(const Video& input, const video::WebVttDocument& captions,
+                          Call& call) override {
+    std::vector<Frame> overlays;
+    std::vector<size_t> overlay_of(input.frames.size());
+    std::vector<const video::WebVttCue*> last_active;
+    for (int f = 0; f < input.FrameCount(); ++f) {
+      double seconds = f / input.fps;
+      std::vector<const video::WebVttCue*> active = captions.ActiveAt(seconds);
+      if (overlays.empty() || active != last_active) {
+        overlays.push_back(vision::RenderCaptionFrame(input.Width(), input.Height(),
+                                                      captions, seconds));
+        last_active = std::move(active);
+      }
+      overlay_of[static_cast<size_t>(f)] = overlays.size() - 1;
+    }
+    return Map(input, call, [&](const Frame& f, int i) {
+      const Frame& overlay = overlays[overlay_of[static_cast<size_t>(i)]];
+      Frame merged(f.width(), f.height());
+      for (int y = 0; y < f.height(); ++y) {
+        for (int x = 0; x < f.width(); ++x) {
+          video::Yuv pixel = video::OmegaCoalesce(
+              {f.Y(x, y), f.U(x, y), f.V(x, y)},
+              {overlay.Y(x, y), overlay.U(x, y), overlay.V(x, y)});
+          merged.SetPixel(x, y, pixel.y, pixel.u, pixel.v);
+        }
+      }
+      return StatusOr<Frame>(std::move(merged));
+    });
+  }
+  // vr:Q6(b):end
+
+  /// Retained-table accounting drives the memory-pressure regime. It is
+  /// cross-call state by design: tables are retained for the whole batch.
+  void Retain(const Video& table) {
+    retained_bytes_ += static_cast<int64_t>(table.FrameCount()) *
+                       detail::FrameBytes(table.Width(), table.Height());
+  }
+
+  ThreadPool pool_;
+  std::atomic<int64_t> retained_bytes_{0};
+};
 
 }  // namespace
 

@@ -9,20 +9,14 @@
 // ambiguous. That is why it dominates Figure 5/6 on Q2(c) while supporting
 // nothing else.
 //
-// Lines between "vr:<query>:begin/end" markers are counted by the Figure 7
-// lines-of-code bench.
-
-#include <algorithm>
-#include <atomic>
-#include <cmath>
+// The queries are written once in query_engine.cc; this file holds the
+// cascade engine's hooks. Hook lines between "vr:<query>:begin/end" markers
+// count toward that query in the Figure 7 lines-of-code bench.
 
 #include "common/stopwatch.h"
 #include "common/trace.h"
-#include "systems/vdbms.h"
-#include "video/codec/gop_cache.h"
-#include "video/image_ops.h"
+#include "systems/query_engine.h"
 #include "video/metrics.h"
-#include "vision/overlay.h"
 
 namespace visualroad::systems {
 
@@ -33,165 +27,58 @@ using queries::QueryInstance;
 using video::Frame;
 using video::Video;
 
-class CascadeEngine : public Vdbms {
+class CascadeEngine : public QueryEngine {
  public:
+  // The cascade's output depends on the whole model stack, not just the
+  // anchor network (the base detector, at 96), so the fingerprint carries a
+  // stack variant tag: its entries never answer probes from the
+  // single-detector engines.
   explicit CascadeEngine(const EngineOptions& options)
-      : options_(options), gop_cache_(&detail::ResolveGopCache(options)) {
-    vision::DetectorOptions cheap = options.detector;
-    cheap.input_size = 48;  // The cascade's small model.
-    cheap_detector_ = std::make_unique<vision::MiniYolo>(cheap);
-    vision::DetectorOptions full = options.detector;
-    full.input_size = 96;
-    full_detector_ = std::make_unique<vision::MiniYolo>(full);
-    // The cascade's output depends on the whole model stack, not just the
-    // anchor network, so the fingerprint carries a stack variant tag: its
-    // entries never answer probes from the single-detector engines.
-    model_fingerprint_ = queries::ModelFingerprint(full, "cascade48+96");
-  }
-
-  const char* name() const override { return "CascadeEngine"; }
+      : QueryEngine(options, {.name = "CascadeEngine",
+                              .label = "cascade",
+                              .map_span = "cascade_crop",
+                              .detector_input_size = 96,
+                              .model_variant = "cascade48+96"}),
+        cheap_detector_(WithInputSize(options.detector, 48)) {}
 
   bool Supports(QueryId id) const override {
     return id == QueryId::kQ1 || id == QueryId::kQ2c;
   }
 
-  // All cascade state (difference detector, last detections) is per-call;
-  // decodes go through the thread-safe shared GOP cache and the counters are
-  // atomic, so concurrent Execute() calls are safe.
-  bool ConcurrentSafe() const override { return true; }
-
   void Quiesce() override {
-    gop_cache_->Clear();
+    QueryEngine::Quiesce();
     tracker_.Clear();
   }
 
-  EngineStats stats() const override {
-    EngineStats stats;
-    stats.frames_decoded = decode_counters_.frames_decoded.load();
-    stats.frames_encoded = frames_encoded_.load();
-    stats.cache_hits = decode_counters_.hits.load();
-    stats.cache_misses = decode_counters_.misses.load();
-    stats.cnn_frames_full = cnn_frames_full_.load();
-    stats.cnn_frames_cheap = cnn_frames_cheap_.load();
-    stats.cnn_frames_skipped = cnn_frames_skipped_.load();
-    return stats;
-  }
-
-  std::string Explain(const QueryInstance& instance,
-                      const sim::Dataset& dataset) override {
-    if (!Supports(instance.id)) return "";
-    StatusOr<const sim::VideoAsset*> asset = detail::InputAsset(instance, dataset);
-    if (!asset.ok()) return "";
-    queries::QueryPlan plan =
-        PlanFor(instance, (*asset)->container.video);
-    return std::string(name()) + ": " + queries::ExplainPlan(plan);
-  }
-
-  StatusOr<QueryOutput> Execute(const QueryInstance& instance,
-                                const sim::Dataset& dataset, OutputMode mode,
-                                const std::string& output_dir,
-                                EngineStats* call_stats = nullptr) override {
-    trace::Span span(std::string("cascade:") + queries::QueryName(instance.id));
-    CallCounters call;
-    StatusOr<QueryOutput> result =
-        ExecuteImpl(instance, dataset, mode, output_dir, call);
-    Fold(call);
-    mirror_.Publish(stats());
-    if (call_stats != nullptr) *call_stats = AsStats(call);
-    return result;
-  }
-
  private:
-  /// Counters for exactly one Execute() call, threaded through every stage
-  /// and folded into the cumulative atomics afterwards. The decode counters
-  /// are the atomic GopCacheCounters because the codec may update them from
-  /// its own pool threads.
-  struct CallCounters {
-    video::codec::GopCacheCounters decode;
-    int64_t frames_encoded = 0;
-    int64_t cnn_frames_full = 0;
-    int64_t cnn_frames_cheap = 0;
-    int64_t cnn_frames_skipped = 0;
-  };
-
-  void Fold(const CallCounters& call) {
-    decode_counters_.hits += call.decode.hits.load();
-    decode_counters_.misses += call.decode.misses.load();
-    decode_counters_.frames_decoded += call.decode.frames_decoded.load();
-    frames_encoded_ += call.frames_encoded;
-    cnn_frames_full_ += call.cnn_frames_full;
-    cnn_frames_cheap_ += call.cnn_frames_cheap;
-    cnn_frames_skipped_ += call.cnn_frames_skipped;
-  }
-
-  /// The per-call window mapped the same way stats() maps the cumulative
-  /// counters.
-  static EngineStats AsStats(const CallCounters& call) {
-    EngineStats stats;
-    stats.frames_decoded = call.decode.frames_decoded.load();
-    stats.frames_encoded = call.frames_encoded;
-    stats.cache_hits = call.decode.hits.load();
-    stats.cache_misses = call.decode.misses.load();
-    stats.cnn_frames_full = call.cnn_frames_full;
-    stats.cnn_frames_cheap = call.cnn_frames_cheap;
-    stats.cnn_frames_skipped = call.cnn_frames_skipped;
-    return stats;
-  }
-
-  StatusOr<QueryOutput> ExecuteImpl(const QueryInstance& instance,
-                                    const sim::Dataset& dataset, OutputMode mode,
-                                    const std::string& output_dir,
-                                    CallCounters& call);
-
-  Status Finish(const Video& result, const QueryInstance& instance,
-                OutputMode mode, const std::string& output_dir,
-                QueryOutput& output, CallCounters& call) {
-    int64_t encoded = 0;
-    Status status = detail::FinishVideoResult(result, instance, options_, mode,
-                                              output_dir, name(), output, &encoded);
-    call.frames_encoded += encoded;
-    return status;
-  }
-
-  queries::SemanticKey SemanticKeyFor(
-      const video::codec::EncodedVideo& encoded) const {
-    queries::SemanticKey key;
-    key.stream = video::codec::StreamIdentity(encoded);
-    key.model = model_fingerprint_;
-    key.threshold = 0.0;  // Raw cascade output is what gets materialized.
-    return key;
-  }
-
-  /// The cascade's plan: semantic-cache temperature plus the measured
-  /// selectivity/cost of the three stages. The planner may disable a
-  /// prefilter whose observed selectivity cannot pay for itself — e.g. the
-  /// difference detector on busy streets where no frame ever repeats, or
+  // vr:Q2(c):begin
+  /// The planner weighs the measured selectivity and cost of the three
+  /// stages, and may disable a prefilter that cannot pay for itself — e.g.
+  /// the difference detector on busy streets where no frame ever repeats, or
   /// the cheap model when nearly every frame escalates anyway.
-  queries::QueryPlan PlanFor(const QueryInstance& instance,
-                             const video::codec::EncodedVideo& meta) const {
-    queries::PlanContext context;
-    context.meta.identity = video::codec::StreamIdentity(meta);
-    context.meta.frame_count = meta.FrameCount();
-    context.meta.width = meta.width;
-    context.meta.height = meta.height;
-    context.meta.fps = meta.fps;
-    context.cache = options_.semantic_cache;
-    context.key = SemanticKeyFor(meta);
+  void Plan(queries::PlanContext& context, QueryId id) const override {
     context.tracker = &tracker_;
-    if (instance.id == QueryId::kQ2c) {
+    if (id == QueryId::kQ2c) {
       context.stages = {"cascade.diff", "cascade.cheap", "cascade.full"};
     }
-    return queries::PlanQuery(instance, context);
   }
 
-  /// The model cascade over a decoded input, producing per-frame detections
-  /// unfiltered by object class. Each stage's attempts, resolutions, and
-  /// wall time feed the selectivity tracker, which is what the planner's
-  /// stage ordering/disabling decisions are measured against.
-  std::vector<std::vector<vision::Detection>> CascadeDetect(
-      const Video& input, const std::vector<sim::FrameGroundTruth>& truth,
-      bool diff_enabled, bool cheap_enabled, CallCounters& call) {
-    std::vector<std::vector<vision::Detection>> result;
+  /// The planned model cascade over a decoded input. Each stage's attempts,
+  /// resolutions, and wall time feed the selectivity tracker, which is what
+  /// the planner's stage ordering/disabling decisions are measured against.
+  StatusOr<Detections> Detect(const QueryInstance& instance,
+                              const sim::VideoAsset& asset, const Video& input,
+                              Call& call) override {
+    queries::QueryPlan plan = queries::PlanQuery(
+        instance, PlanContextFor(instance.id, asset.container.video));
+    bool diff_enabled = true;
+    bool cheap_enabled = true;
+    for (const queries::PlanStage& stage : plan.stages) {
+      if (stage.name == "cascade.diff") diff_enabled = stage.enabled;
+      if (stage.name == "cascade.cheap") cheap_enabled = stage.enabled;
+    }
+
+    Detections result;
     result.reserve(input.frames.size());
     std::vector<vision::Detection> last_detections;
     const Frame* last_processed = nullptr;
@@ -205,8 +92,9 @@ class CascadeEngine : public Vdbms {
     for (int f = 0; f < input.FrameCount(); ++f) {
       const Frame& frame = input.frames[static_cast<size_t>(f)];
       const sim::FrameGroundTruth& gt =
-          static_cast<size_t>(f) < truth.size() ? truth[static_cast<size_t>(f)]
-                                                : kEmpty;
+          static_cast<size_t>(f) < asset.ground_truth.size()
+              ? asset.ground_truth[static_cast<size_t>(f)]
+              : kEmpty;
 
       // Stage 1: difference detector. A frame close to the last processed
       // one reuses its detections outright.
@@ -222,7 +110,7 @@ class CascadeEngine : public Vdbms {
       if (reuse) {
         ++diff_resolved;
         detections = last_detections;
-        ++call.cnn_frames_skipped;
+        ++call.counted.cnn_frames_skipped;
       } else {
         // Stage 2: the cheap model. Ambiguous confidence escalates to the
         // full model (stage 3); with the cheap stage planned out, every
@@ -230,10 +118,10 @@ class CascadeEngine : public Vdbms {
         bool ambiguous = !cheap_enabled;
         if (cheap_enabled) {
           Stopwatch cheap_watch;
-          detections = cheap_detector_->Detect(frame, gt, f);
+          detections = cheap_detector_.Detect(frame, gt, f);
           cheap_seconds += cheap_watch.ElapsedSeconds();
           ++cheap_attempts;
-          ++call.cnn_frames_cheap;
+          ++call.counted.cnn_frames_cheap;
           for (const vision::Detection& d : detections) {
             if (d.score > 0.35 && d.score < 0.75) ambiguous = true;
           }
@@ -241,10 +129,10 @@ class CascadeEngine : public Vdbms {
         }
         if (ambiguous) {
           Stopwatch full_watch;
-          detections = full_detector_->Detect(frame, gt, f);
+          detections = detector_.Detect(frame, gt, f);
           full_seconds += full_watch.ElapsedSeconds();
           ++full_attempts;
-          ++call.cnn_frames_full;
+          ++call.counted.cnn_frames_full;
         }
         last_processed = &frame;
         last_detections = detections;
@@ -252,128 +140,15 @@ class CascadeEngine : public Vdbms {
       result.push_back(std::move(detections));
     }
     tracker_.Record("cascade.diff", diff_attempts, diff_resolved, diff_seconds);
-    tracker_.Record("cascade.cheap", cheap_attempts, cheap_resolved,
-                    cheap_seconds);
+    tracker_.Record("cascade.cheap", cheap_attempts, cheap_resolved, cheap_seconds);
     tracker_.Record("cascade.full", full_attempts, full_attempts, full_seconds);
     return result;
   }
+  // vr:Q2(c):end
 
-  EngineOptions options_;
-  std::string model_fingerprint_;
+  const vision::MiniYolo cheap_detector_;  // The cascade's small model.
   queries::SelectivityTracker tracker_;
-  std::unique_ptr<vision::MiniYolo> cheap_detector_;
-  std::unique_ptr<vision::MiniYolo> full_detector_;
-  video::codec::GopCache* gop_cache_;
-  video::codec::GopCacheCounters decode_counters_;
-  std::atomic<int64_t> frames_encoded_{0};
-  std::atomic<int64_t> cnn_frames_full_{0};
-  std::atomic<int64_t> cnn_frames_cheap_{0};
-  std::atomic<int64_t> cnn_frames_skipped_{0};
-  detail::EngineMetricsMirror mirror_{"cascade"};
 };
-
-StatusOr<QueryOutput> CascadeEngine::ExecuteImpl(const QueryInstance& instance,
-                                                 const sim::Dataset& dataset,
-                                                 OutputMode mode,
-                                                 const std::string& output_dir,
-                                                 CallCounters& call) {
-  QueryOutput output;
-  switch (instance.id) {
-    case QueryId::kQ1: {
-      // vr:Q1:begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      const video::codec::EncodedVideo& meta = asset->container.video;
-      int first = std::clamp(static_cast<int>(instance.q1_t1 * meta.fps), 0,
-                             meta.FrameCount() - 1);
-      int last = std::clamp(static_cast<int>(std::ceil(instance.q1_t2 * meta.fps)),
-                            first + 1, meta.FrameCount());
-      VR_ASSIGN_OR_RETURN(
-          detail::ResolvedRange input,
-          detail::ResolveInputRange(*asset, options_, first, last - first));
-      VR_ASSIGN_OR_RETURN(Video range,
-                          video::codec::CachedDecodeRange(
-                              *input.video, first - input.first_frame,
-                              last - first, *gop_cache_, &call.decode));
-      Video cropped;
-      cropped.fps = range.fps;
-      {
-        TRACE_SPAN("cascade_crop");
-        for (const Frame& frame : range.frames) {
-          VR_ASSIGN_OR_RETURN(Frame c, video::Crop(frame, instance.q1_rect));
-          cropped.frames.push_back(std::move(c));
-        }
-      }
-      VR_RETURN_IF_ERROR(
-          Finish(cropped, instance, mode, output_dir, output, call));
-      // vr:Q1:end
-      return output;
-    }
-    case QueryId::kQ2c: {
-      // vr:Q2(c):begin
-      VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
-                          detail::InputAsset(instance, dataset));
-      VR_ASSIGN_OR_RETURN(
-          std::shared_ptr<const video::codec::EncodedVideo> encoded,
-          detail::ResolveInput(*asset, options_));
-
-      // Plan the cascade: semantic-cache temperature decides whether any
-      // decoding happens at all, and measured stage selectivities decide
-      // which prefilters are worth running.
-      queries::QueryPlan plan = PlanFor(instance, *encoded);
-      bool diff_enabled = true;
-      bool cheap_enabled = true;
-      for (const queries::PlanStage& stage : plan.stages) {
-        if (stage.name == "cascade.diff") diff_enabled = stage.enabled;
-        if (stage.name == "cascade.cheap") cheap_enabled = stage.enabled;
-      }
-
-      queries::FrameRange range{0, encoded->FrameCount()};
-      std::vector<std::vector<vision::Detection>> detections;
-      auto compute_direct =
-          [&]() -> StatusOr<std::vector<std::vector<vision::Detection>>> {
-        VR_ASSIGN_OR_RETURN(Video input,
-                            video::codec::CachedDecode(*encoded, *gop_cache_,
-                                                       &call.decode));
-        return CascadeDetect(input, asset->ground_truth, diff_enabled,
-                             cheap_enabled, call);
-      };
-      if (options_.semantic_cache != nullptr) {
-        queries::SemanticKey key = SemanticKeyFor(*encoded);
-        VR_ASSIGN_OR_RETURN(
-            std::shared_ptr<const queries::SemanticEntry> entry,
-            options_.semantic_cache->GetOrCompute(
-                key, range, [&]() -> StatusOr<queries::SemanticEntry> {
-                  queries::SemanticEntry fresh;
-                  fresh.key = key;
-                  fresh.range = range;
-                  fresh.width = encoded->width;
-                  fresh.height = encoded->height;
-                  fresh.fps = encoded->fps;
-                  VR_ASSIGN_OR_RETURN(fresh.detections, compute_direct());
-                  fresh.RecomputeBytes();
-                  return fresh;
-                }));
-        detections = queries::SemanticCache::Slice(*entry, range);
-      } else {
-        VR_ASSIGN_OR_RETURN(detections, compute_direct());
-      }
-
-      queries::ReferenceResult result = queries::RenderBoxesFromDetections(
-          encoded->width, encoded->height, encoded->fps, detections,
-          instance.object_class);
-      output.detections = std::move(result.detections);
-      VR_RETURN_IF_ERROR(
-          Finish(result.video, instance, mode, output_dir, output, call));
-      // vr:Q2(c):end
-      return output;
-    }
-    default:
-      return Status::Unimplemented(
-          std::string("CascadeEngine does not support ") +
-          queries::QueryName(instance.id));
-  }
-}
 
 }  // namespace
 

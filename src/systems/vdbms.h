@@ -2,11 +2,9 @@
 #define VISUALROAD_SYSTEMS_VDBMS_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "queries/plan.h"
 #include "queries/reference.h"
 #include "queries/semantic_cache.h"
@@ -70,11 +68,12 @@ struct EngineOptions {
   /// either way. Borrowed; must outlive the engine.
   storage::VideoStorageService* vss = nullptr;
   /// Semantic result store for materialized inference outputs. Null turns
-  /// semantic caching off entirely: engines run every query from scratch and
-  /// results are byte-identical to the caching path by construction (both
-  /// render from the same unfiltered detections). Borrowed; engines under
-  /// one server share a single cache, which is what enables cross-tenant
-  /// reuse. Tests inject private instances.
+  /// semantic caching off for the batch and cascade engines; the pipeline
+  /// engine then keeps a private cache. Results are byte-identical to the
+  /// uncached path by construction (both render from the same unfiltered
+  /// detections). Borrowed; engines under one server share a single cache,
+  /// which is what enables cross-tenant reuse. Tests inject private
+  /// instances.
   queries::SemanticCache* semantic_cache = nullptr;
   /// Distributed scale-out fan-out (DESIGN.md Section 15): the number of
   /// worker processes the driver's coordinator shards batches across. 0 =
@@ -189,35 +188,6 @@ namespace detail {
 StatusOr<const sim::VideoAsset*> InputAsset(const queries::QueryInstance& instance,
                                             const sim::Dataset& dataset);
 
-/// The input bitstream for `asset`: read from the storage service at the
-/// asset's base tier when `options.vss` is set (storage-backed offline
-/// mode), else a non-owning view of the in-memory container. Byte-identical
-/// either way.
-StatusOr<std::shared_ptr<const video::codec::EncodedVideo>> ResolveInput(
-    const sim::VideoAsset& asset, const EngineOptions& options);
-
-/// A resolved frame range: `video->frames[0]` is logical frame
-/// `first_frame` of the input stream.
-struct ResolvedRange {
-  std::shared_ptr<const video::codec::EncodedVideo> video;
-  int first_frame = 0;
-};
-
-/// The covering bitstream for frames [first, first+count) of `asset`: a
-/// GOP-aligned range read through the storage service when `options.vss`
-/// is set, else a view of the whole in-memory container.
-StatusOr<ResolvedRange> ResolveInputRange(const sim::VideoAsset& asset,
-                                          const EngineOptions& options,
-                                          int first, int count);
-
-/// Encodes `result` and, in write mode, persists it as a container under
-/// `output_dir` with a name derived from `instance`. Fills `output`.
-Status FinishVideoResult(const video::Video& result,
-                         const queries::QueryInstance& instance,
-                         const EngineOptions& options, OutputMode mode,
-                         const std::string& output_dir, const char* engine_name,
-                         QueryOutput& output, int64_t* frames_encoded);
-
 /// Decoded size of one frame in bytes (YUV420).
 int64_t FrameBytes(int width, int height);
 
@@ -227,37 +197,6 @@ int64_t FrameBytes(int width, int height);
 /// server's goodput report.
 int64_t InputFrameCount(const queries::QueryInstance& instance,
                         const sim::Dataset& dataset);
-
-/// The GOP cache selected by `options`: the injected instance if any, else
-/// the process-wide one; applies `gop_cache_bytes` when positive.
-video::codec::GopCache& ResolveGopCache(const EngineOptions& options);
-
-/// Publishes an engine's cumulative EngineStats into the process-wide
-/// metrics registry as `vr_engine_*` counters labeled `engine="<name>"`.
-/// Engines call Publish(stats()) after each Execute; the mirror tracks the
-/// last published snapshot per instance, so concurrent executes publish
-/// exact deltas and the per-instance EngineStats stays the source of truth.
-class EngineMetricsMirror {
- public:
-  explicit EngineMetricsMirror(const char* engine_name);
-
-  /// Records one completed Execute and folds `current - last_published`
-  /// into the registry counters.
-  void Publish(const EngineStats& current);
-
- private:
-  metrics::Counter& queries_;
-  metrics::Counter& frames_decoded_;
-  metrics::Counter& frames_encoded_;
-  metrics::Counter& cache_hits_;
-  metrics::Counter& cache_misses_;
-  metrics::Counter& chunked_redecodes_;
-  metrics::Counter& cnn_frames_full_;
-  metrics::Counter& cnn_frames_cheap_;
-  metrics::Counter& cnn_frames_skipped_;
-  std::mutex mutex_;
-  EngineStats last_;
-};
 
 }  // namespace detail
 

@@ -106,7 +106,9 @@ GopCache::GopCache(const GopCacheOptions& options)
   for (int i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
-GopCache::~GopCache() = default;
+// Clearing takes this cache's share out of the process-wide gauges, which
+// sum over every live cache.
+GopCache::~GopCache() { Clear(); }
 
 GopCache& GopCache::Global() {
   // Leaked intentionally: engine threads may outlive static destruction order.

@@ -5,7 +5,10 @@
 #include <cmath>
 #include <filesystem>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/metrics.h"
 #include "driver/datasets.h"
 #include "driver/report.h"
 #include "driver/validation.h"
@@ -730,6 +733,31 @@ TEST_F(DriverTest, PerCallEngineStatsReportIndependentWindows) {
   video::codec::GopCache cache;
   engine_options.gop_cache = &cache;
   auto engine = systems::MakePipelineEngine(engine_options);
+  // The vr_engine_* registry counters move by exactly the engine's stats().
+  auto counter = [](const char* name) {
+    return &metrics::MetricsRegistry::Global().GetCounter(name, "",
+                                                          "engine=\"pipeline\"");
+  };
+  const std::vector<std::pair<metrics::Counter*, int64_t systems::EngineStats::*>>
+      published = {
+          {counter("vr_engine_frames_decoded_total"), &systems::EngineStats::frames_decoded},
+          {counter("vr_engine_frames_encoded_total"), &systems::EngineStats::frames_encoded},
+          {counter("vr_engine_cache_hits_total"), &systems::EngineStats::cache_hits},
+          {counter("vr_engine_cache_misses_total"), &systems::EngineStats::cache_misses},
+          {counter("vr_engine_chunked_redecodes_total"),
+           &systems::EngineStats::chunked_redecodes},
+          {counter("vr_engine_cnn_frames_full_total"), &systems::EngineStats::cnn_frames_full},
+          {counter("vr_engine_cnn_frames_cheap_total"),
+           &systems::EngineStats::cnn_frames_cheap},
+          {counter("vr_engine_cnn_frames_skipped_total"),
+           &systems::EngineStats::cnn_frames_skipped},
+      };
+  metrics::Counter* queries = counter("vr_engine_queries_total");
+  const double queries_before = queries->Value();
+  std::vector<double> before;
+  for (const auto& [registry_counter, field] : published) {
+    before.push_back(registry_counter->Value());
+  }
 
   VcdOptions options;
   options.batch_size_override = 1;
@@ -763,6 +791,14 @@ TEST_F(DriverTest, PerCallEngineStatsReportIndependentWindows) {
   EXPECT_EQ(sum.cnn_frames_full, cumulative.cnn_frames_full);
   EXPECT_EQ(sum.cnn_frames_cheap, cumulative.cnn_frames_cheap);
   EXPECT_EQ(sum.cnn_frames_skipped, cumulative.cnn_frames_skipped);
+
+  EXPECT_EQ(queries->Value() - queries_before, 2.0);
+  for (size_t i = 0; i < published.size(); ++i) {
+    const auto& [registry_counter, field] = published[i];
+    EXPECT_EQ(registry_counter->Value() - before[i],
+              static_cast<double>(cumulative.*field))
+        << "counter " << i;
+  }
 }
 
 // --- Report formatting ---

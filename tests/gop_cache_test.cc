@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "video/codec/codec.h"
 #include "video/codec/gop_cache.h"
 #include "video/metrics.h"
@@ -146,6 +147,25 @@ TEST(GopCacheTest, ClearDropsEntriesAndBytes) {
   GopCacheCounters counters;
   ASSERT_TRUE(CachedDecode(encoded, cache, &counters).ok());
   EXPECT_EQ(counters.misses.load(), 2);
+}
+
+TEST(GopCacheTest, DestroyedCacheLeavesTheResidentGauges) {
+  // The resident gauges sum over live caches: destroying one subtracts
+  // exactly its share.
+  auto& registry = metrics::MetricsRegistry::Global();
+  metrics::Gauge& bytes = registry.GetGauge("vr_gop_cache_bytes_in_use", "");
+  metrics::Gauge& entries = registry.GetGauge("vr_gop_cache_entries", "");
+  const double bytes_before = bytes.Value();
+  const double entries_before = entries.Value();
+  {
+    GopCache cache;
+    ASSERT_TRUE(CachedDecode(EncodeOrDie(MakeVideo(32, 32, 8, 9), 4), cache).ok());
+    EXPECT_EQ(bytes.Value() - bytes_before,
+              static_cast<double>(cache.stats().bytes_in_use));
+    EXPECT_EQ(entries.Value() - entries_before, 2.0);
+  }
+  EXPECT_EQ(bytes.Value(), bytes_before);
+  EXPECT_EQ(entries.Value(), entries_before);
 }
 
 TEST(GopCacheTest, ShrinkingCapacityEvictsImmediately) {

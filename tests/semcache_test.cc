@@ -13,9 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "driver/datasets.h"
 #include "queries/plan.h"
 #include "queries/semantic_cache.h"
+#include "simulation/recorded_corpus.h"
 #include "storage/sharded_store.h"
 #include "systems/vdbms.h"
 #include "video/codec/gop_cache.h"
@@ -50,6 +52,38 @@ SemanticEntry MakeEntry(const SemanticKey& key, int first, int count) {
   }
   entry.RecomputeBytes();
   return entry;
+}
+
+// --- Registry gauges ---
+
+TEST(SemanticCacheTest, ResidentGaugesSumOverLiveInstances) {
+  // Several caches may live in one process (engines without an injected
+  // cache own a private one), so the resident gauges are the sum over live
+  // instances, and a destroyed cache takes its share with it.
+  auto& registry = metrics::MetricsRegistry::Global();
+  metrics::Gauge& bytes = registry.GetGauge("vr_semcache_bytes_in_use", "");
+  metrics::Gauge& entries = registry.GetGauge("vr_semcache_entries", "");
+  const double bytes_before = bytes.Value();
+  const double entries_before = entries.Value();
+
+  auto first = std::make_unique<SemanticCache>();
+  SemanticCache second;
+  first->Insert(MakeEntry(TestKey(), 0, 10));
+  second.Insert(MakeEntry(TestKey(), 0, 30));
+  const int64_t first_bytes = first->stats().bytes_in_use;
+  const int64_t second_bytes = second.stats().bytes_in_use;
+  ASSERT_GT(first_bytes, 0);
+  ASSERT_GT(second_bytes, first_bytes);
+  EXPECT_EQ(bytes.Value() - bytes_before,
+            static_cast<double>(first_bytes + second_bytes));
+  EXPECT_EQ(entries.Value() - entries_before, 2.0);
+
+  first.reset();
+  EXPECT_EQ(bytes.Value() - bytes_before, static_cast<double>(second_bytes));
+  EXPECT_EQ(entries.Value() - entries_before, 1.0);
+  second.Clear();
+  EXPECT_EQ(bytes.Value(), bytes_before);
+  EXPECT_EQ(entries.Value(), entries_before);
 }
 
 // --- Range subsumption ---
@@ -478,6 +512,33 @@ TEST_F(SemCacheEngineTest, Q7ReusesQ2cDetectionsAcrossQueries) {
   EXPECT_GT(q7_stats.frames_decoded, 0);
   EXPECT_EQ(q7_stats.cnn_frames_full, 0);
   EXPECT_EQ(semcache.stats().hits, 1);
+}
+
+TEST_F(SemCacheEngineTest, PipelineWithoutInjectedCacheRunsTheCnnOncePerDistinctStream) {
+  // Table 9's duplicates corpus: every traffic stream is the same bitstream.
+  // With no cache injected the pipeline engine keeps a private semantic
+  // cache, so the second stream's Q2(c) is answered without the CNN.
+  sim::Dataset duplicates = sim::MakeDuplicateCorpus(*dataset_, 2);
+  ASSERT_GE(duplicates.TrafficAssets().size(), 2u);
+  video::codec::GopCache gops;
+  systems::EngineOptions options;
+  options.gop_cache = &gops;
+  auto engine = systems::MakePipelineEngine(options);
+
+  QueryInstance second = Q2c();
+  second.video_index = 1;
+  systems::EngineStats first_stats, second_stats;
+  ASSERT_TRUE(engine
+                  ->Execute(Q2c(), duplicates, systems::OutputMode::kStreaming, "",
+                            &first_stats)
+                  .ok());
+  ASSERT_TRUE(engine
+                  ->Execute(second, duplicates, systems::OutputMode::kStreaming, "",
+                            &second_stats)
+                  .ok());
+  EXPECT_GT(first_stats.cnn_frames_full, 0);
+  EXPECT_EQ(second_stats.cnn_frames_full, 0);
+  EXPECT_GT(second_stats.cache_hits, 0);
 }
 
 TEST_F(SemCacheEngineTest, ExplainReportsCacheTemperature) {
