@@ -418,8 +418,7 @@ int RunSimdSpeedupSection() {
   table.SetHeader({"Level", "Encode", "Decode", "Speedup", "Output"});
   double baseline_seconds = 0.0;
   EncodedVideo baseline;
-  for (int l = 0; l <= static_cast<int>(detected); ++l) {
-    SimdLevel level = static_cast<SimdLevel>(l);
+  for (SimdLevel level : AvailableSimdLevels()) {
     kernels::SetSimdLevelForTest(level);
     {
       auto warm = Encode(content, config);
@@ -453,7 +452,7 @@ int RunSimdSpeedupSection() {
     double seconds = encode_seconds + decode_seconds;
 
     std::string output = "baseline";
-    if (l == 0) {
+    if (level == SimdLevel::kScalar) {
       baseline_seconds = seconds;
       baseline = std::move(encoded).value();
     } else {

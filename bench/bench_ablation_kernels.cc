@@ -1,13 +1,13 @@
 // Ablation bench: the SIMD kernel layer (DESIGN.md §13).
 //
-// Times every dispatched pixel kernel at each compiled-in SIMD level
-// (scalar / SSE2 / AVX2, clamped to what the host CPU reports) through the
-// same KernelTable the engines use, and cross-checks that each vector level
-// reproduces the scalar output byte for byte on the bench inputs. Timings are
-// warm-run medians: every (kernel, level) pair runs one untimed warm-up rep,
-// then the median of five timed reps is reported. The decode-path aggregate
-// (SAD + forward/inverse DCT + quantise + dequantise) is the headline number:
-// the acceptance bar is >= 2x over scalar on AVX2 hardware.
+// Times every dispatched pixel kernel at each SIMD level the host CPU reports
+// (scalar, and AVX2 where available) through the same KernelTable the engines
+// use, and cross-checks that the AVX2 table reproduces the scalar output byte
+// for byte on the bench inputs. Timings are warm-run medians: every (kernel,
+// level) pair runs one untimed warm-up rep, then the median of five timed reps
+// is reported. The decode-path aggregate (SAD + forward/inverse DCT +
+// quantise + dequantise) is the headline number: the acceptance bar is >= 2x
+// over scalar on AVX2 hardware.
 //
 // Prints per-kernel tables and writes machine-readable results to
 // bench/BENCH_kernels.json (override with VR_KERNELS_OUT).
@@ -210,8 +210,8 @@ double MedianNsPerCall(const KernelCase& c, const KernelTable& kt) {
   return ns[ns.size() / 2];
 }
 
-/// Byte-compares each vector level's output against scalar on the bench
-/// inputs; returns false (and reports) on any mismatch.
+/// Byte-compares one level's output against scalar on the bench inputs;
+/// returns false (and reports) on any mismatch.
 bool VerifyIdentity(SimdLevel level) {
   const KernelTable& kt = KernelsFor(level);
   const KernelTable& ref = KernelsFor(SimdLevel::kScalar);
@@ -225,11 +225,14 @@ bool VerifyIdentity(SimdLevel level) {
     }
   };
 
-  int64_t sad_a = kt.sad_bounded(w.cur.data(), kPlaneW, w.ref.data(), kPlaneW,
-                                 16, INT64_MAX);
-  int64_t sad_b = ref.sad_bounded(w.cur.data(), kPlaneW, w.ref.data(), kPlaneW,
-                                  16, INT64_MAX);
-  check(sad_a == sad_b, "sad");
+  // Every width the AVX2 SAD vectorises: 8 and 16 (psadbw), 32 (vpsadbw).
+  for (int size : {8, 16, 32}) {
+    int64_t sad_a = kt.sad_bounded(w.cur.data(), kPlaneW, w.ref.data(),
+                                   kPlaneW, size, INT64_MAX);
+    int64_t sad_b = ref.sad_bounded(w.cur.data(), kPlaneW, w.ref.data(),
+                                    kPlaneW, size, INT64_MAX);
+    check(sad_a == sad_b, ("sad " + std::to_string(size)).c_str());
+  }
 
   double fa[64], fb[64];
   kt.forward_dct(w.block, fa);
@@ -295,29 +298,26 @@ bool VerifyIdentity(SimdLevel level) {
 
 int Run() {
   SimdLevel detected = DetectedSimdLevel();
-  std::vector<SimdLevel> tier;
-  for (int l = 0; l <= static_cast<int>(detected); ++l) {
-    tier.push_back(static_cast<SimdLevel>(l));
-  }
+  const std::vector<SimdLevel> levels = AvailableSimdLevels();
   std::printf("SIMD kernel ablation (detected level: %s; warm-run median of "
               "%d reps)\n\n",
               SimdLevelName(detected), kTimedReps);
 
   bool identity_ok = true;
-  for (SimdLevel level : tier) identity_ok &= VerifyIdentity(level);
+  for (SimdLevel level : levels) identity_ok &= VerifyIdentity(level);
 
-  // ns-per-call medians, indexed [kernel][level].
-  double ns[kKernelCount][3] = {};
+  // ns-per-call medians, indexed [kernel][position in `levels`]; position 0
+  // is scalar, position 1 (when the CPU has it) AVX2.
+  double ns[kKernelCount][2] = {};
   for (const KernelCase& c : kCases) {
-    for (SimdLevel level : tier) {
-      ns[static_cast<int>(c.kernel)][static_cast<int>(level)] =
-          MedianNsPerCall(c, KernelsFor(level));
+    for (size_t l = 0; l < levels.size(); ++l) {
+      ns[static_cast<int>(c.kernel)][l] =
+          MedianNsPerCall(c, KernelsFor(levels[l]));
     }
   }
 
   driver::TextTable table;
-  table.SetHeader({"Kernel", "scalar ns", "sse2 ns", "avx2 ns", "sse2 x",
-                   "avx2 x"});
+  table.SetHeader({"Kernel", "scalar ns", "avx2 ns", "avx2 x"});
   char buffer[64];
   auto fmt = [&buffer](double v) -> std::string {
     if (v <= 0.0) return "-";
@@ -326,32 +326,24 @@ int Run() {
   };
   for (const KernelCase& c : kCases) {
     int k = static_cast<int>(c.kernel);
-    double scalar = ns[k][0];
-    table.AddRow({KernelName(c.kernel), fmt(scalar), fmt(ns[k][1]),
-                  fmt(ns[k][2]),
-                  ns[k][1] > 0.0 ? fmt(scalar / ns[k][1]) + "x" : "-",
-                  ns[k][2] > 0.0 ? fmt(scalar / ns[k][2]) + "x" : "-"});
+    table.AddRow({KernelName(c.kernel), fmt(ns[k][0]), fmt(ns[k][1]),
+                  ns[k][1] > 0.0 ? fmt(ns[k][0] / ns[k][1]) + "x" : "-"});
   }
   std::printf("%s\n", table.ToString().c_str());
 
   // Decode-path aggregate: the kernels a Decode() call bottoms out in.
-  double path_ns[3] = {};
+  double path_ns[2] = {};
   for (const KernelCase& c : kCases) {
     if (!OnDecodePath(c.kernel)) continue;
-    for (SimdLevel level : tier) {
-      path_ns[static_cast<int>(level)] += ns[static_cast<int>(c.kernel)]
-                                            [static_cast<int>(level)];
+    for (size_t l = 0; l < levels.size(); ++l) {
+      path_ns[l] += ns[static_cast<int>(c.kernel)][l];
     }
   }
-  std::printf("Decode-path aggregate (sad+fdct+idct+quant+dequant): ");
-  for (SimdLevel level : tier) {
-    int l = static_cast<int>(level);
-    if (l == 0) {
-      std::printf("scalar %.0fns", path_ns[0]);
-    } else if (path_ns[l] > 0.0) {
-      std::printf(", %s %.0fns (%.2fx)", SimdLevelName(level), path_ns[l],
-                  path_ns[0] / path_ns[l]);
-    }
+  std::printf("Decode-path aggregate (sad+fdct+idct+quant+dequant): scalar "
+              "%.0fns",
+              path_ns[0]);
+  if (path_ns[1] > 0.0) {
+    std::printf(", avx2 %.0fns (%.2fx)", path_ns[1], path_ns[0] / path_ns[1]);
   }
   std::printf("\nIdentity: %s\n\n",
               identity_ok ? "all levels byte-identical to scalar"
@@ -376,23 +368,21 @@ int Run() {
         << "\",\n      \"decode_path\": "
         << (OnDecodePath(kCases[i].kernel) ? "true" : "false")
         << ",\n      \"levels\": [\n";
-    for (size_t t = 0; t < tier.size(); ++t) {
-      int l = static_cast<int>(tier[t]);
-      out << "        {\"level\": \"" << SimdLevelName(tier[t])
+    for (size_t l = 0; l < levels.size(); ++l) {
+      out << "        {\"level\": \"" << SimdLevelName(levels[l])
           << "\", \"ns_per_call\": " << ns[k][l]
           << ", \"speedup_vs_scalar\": "
           << (ns[k][l] > 0.0 ? ns[k][0] / ns[k][l] : 0.0) << "}"
-          << (t + 1 < tier.size() ? "," : "") << "\n";
+          << (l + 1 < levels.size() ? "," : "") << "\n";
     }
     out << "      ]\n    }" << (i + 1 < std::size(kCases) ? "," : "") << "\n";
   }
   out << "  ],\n  \"decode_path_aggregate\": [\n";
-  for (size_t t = 0; t < tier.size(); ++t) {
-    int l = static_cast<int>(tier[t]);
-    out << "    {\"level\": \"" << SimdLevelName(tier[t])
+  for (size_t l = 0; l < levels.size(); ++l) {
+    out << "    {\"level\": \"" << SimdLevelName(levels[l])
         << "\", \"ns\": " << path_ns[l] << ", \"speedup_vs_scalar\": "
         << (path_ns[l] > 0.0 ? path_ns[0] / path_ns[l] : 0.0) << "}"
-        << (t + 1 < tier.size() ? "," : "") << "\n";
+        << (l + 1 < levels.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::printf("Wrote %s\n", out_path.c_str());

@@ -139,8 +139,7 @@ int RunSimdRenderSection() {
   table.SetHeader({"Level", "Render", "Speedup", "Output"});
   double baseline_seconds = 0.0;
   sim::Framebuffer baseline(0, 0);
-  for (int l = 0; l <= static_cast<int>(detected); ++l) {
-    SimdLevel level = static_cast<SimdLevel>(l);
+  for (SimdLevel level : AvailableSimdLevels()) {
     video::kernels::SetSimdLevelForTest(level);
     sim::Framebuffer fb = sim::RenderScene(SharedTile(), camera, 0, 99);
     std::vector<double> reps;
@@ -154,7 +153,7 @@ int RunSimdRenderSection() {
     double seconds = reps[reps.size() / 2];
 
     std::string output = "baseline";
-    if (l == 0) {
+    if (level == SimdLevel::kScalar) {
       baseline_seconds = seconds;
       baseline = std::move(fb);
     } else {

@@ -9,15 +9,10 @@ namespace visualroad {
 namespace {
 
 SimdLevel ProbeCpu() {
-#if defined(VISUALROAD_FORCE_SCALAR_KERNELS)
-  return SimdLevel::kScalar;
-#elif defined(__x86_64__) || defined(__i386__)
+#if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;
-  return SimdLevel::kScalar;
-#else
-  return SimdLevel::kScalar;
 #endif
+  return SimdLevel::kScalar;
 }
 
 }  // namespace
@@ -27,14 +22,17 @@ SimdLevel DetectedSimdLevel() {
   return level;
 }
 
+std::vector<SimdLevel> AvailableSimdLevels() {
+  if (DetectedSimdLevel() == SimdLevel::kScalar) return {SimdLevel::kScalar};
+  return {SimdLevel::kScalar, SimdLevel::kAvx2};
+}
+
 bool ParseSimdLevel(const std::string& text, SimdLevel* out) {
   std::string lower(text);
   std::transform(lower.begin(), lower.end(), lower.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   if (lower == "scalar") {
     *out = SimdLevel::kScalar;
-  } else if (lower == "sse2") {
-    *out = SimdLevel::kSse2;
   } else if (lower == "avx2") {
     *out = SimdLevel::kAvx2;
   } else {
@@ -44,15 +42,7 @@ bool ParseSimdLevel(const std::string& text, SimdLevel* out) {
 }
 
 const char* SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
-    case SimdLevel::kAvx2:
-      return "avx2";
-  }
-  return "scalar";
+  return level == SimdLevel::kAvx2 ? "avx2" : "scalar";
 }
 
 SimdLevel RequestedSimdLevel() {
@@ -60,7 +50,7 @@ SimdLevel RequestedSimdLevel() {
   const char* env = std::getenv("VR_SIMD");
   if (env == nullptr || env[0] == '\0') return detected;
   SimdLevel requested;
-  if (!ParseSimdLevel(env, &requested)) return detected;
+  if (!ParseSimdLevel(env, &requested)) return SimdLevel::kScalar;
   return std::min(requested, detected);
 }
 

@@ -2,34 +2,38 @@
 #define VISUALROAD_COMMON_CPU_H_
 
 #include <string>
+#include <vector>
 
 namespace visualroad {
 
 /// SIMD instruction-set tiers the kernel layer dispatches between. Levels are
-/// ordered: a CPU that supports a level supports every lower one, and the
-/// dispatcher picks the widest supported level unless pinned down by the
-/// VR_SIMD environment variable (or a scalar-only build).
+/// ordered: the dispatcher picks the widest level the CPU supports unless the
+/// VR_SIMD environment variable pins it down. The values are stable (they are
+/// exported as the vr_simd_level gauge).
 enum class SimdLevel : int {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
 };
 
 /// Widest SIMD level this CPU supports, probed once via CPUID. On non-x86
-/// targets (and scalar-only builds) this is kScalar.
+/// targets this is kScalar.
 SimdLevel DetectedSimdLevel();
 
-/// Parses "scalar" / "sse2" / "avx2" (case-insensitive). Returns false and
-/// leaves `out` untouched on anything else.
+/// Every level up to DetectedSimdLevel(), narrowest first; what tests and
+/// benches iterate to compare each level against scalar.
+std::vector<SimdLevel> AvailableSimdLevels();
+
+/// Parses "scalar" / "avx2" (case-insensitive). Returns false and leaves `out`
+/// untouched on anything else.
 bool ParseSimdLevel(const std::string& text, SimdLevel* out);
 
-/// Lower-case level name ("scalar", "sse2", "avx2").
+/// Lower-case level name ("scalar", "avx2").
 const char* SimdLevelName(SimdLevel level);
 
-/// The level requested by the environment: VR_SIMD=scalar|sse2|avx2, clamped
-/// to DetectedSimdLevel() so a pin can only narrow, never widen. Unset or
-/// unparseable VR_SIMD yields DetectedSimdLevel(). Scalar-only builds
-/// (VISUALROAD_FORCE_SCALAR_KERNELS) always yield kScalar.
+/// The level requested by the environment: VR_SIMD=scalar|avx2, clamped to
+/// DetectedSimdLevel() so a pin can only narrow, never widen. Unset or empty
+/// VR_SIMD yields DetectedSimdLevel(); any other value that does not parse
+/// yields kScalar.
 SimdLevel RequestedSimdLevel();
 
 }  // namespace visualroad

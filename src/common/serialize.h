@@ -78,6 +78,9 @@ class ByteCursor {
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return pos_ >= size_; }
+  /// Unread bytes (0 after a failed read). Decoders bound a count field by
+  /// Remaining() / (smallest encoding of one item) before allocating for it.
+  size_t Remaining() const { return ok_ ? size_ - pos_ : 0; }
 
  private:
   bool Require(size_t n) {

@@ -6,6 +6,12 @@
 namespace visualroad::dist {
 namespace {
 
+// Smallest wire encodings of repeated items. A count field is checked against
+// the bytes left divided by these before anything is allocated for it.
+constexpr size_t kDetectionBytes = 29;       // U8 + 4 x I32 + F64 + I32.
+constexpr size_t kDetectionFrameBytes = 4;   // The frame's U32 count.
+constexpr size_t kInstanceResultBytes = 95;  // Empty strings, no frames.
+
 void WriteCityConfig(ByteWriter& writer, const sim::CityConfig& config) {
   writer.I32(config.scale_factor);
   writer.I32(config.width);
@@ -178,12 +184,19 @@ void WriteDetections(
   }
 }
 
-std::vector<std::vector<vision::Detection>> ReadDetections(ByteCursor& cursor) {
+StatusOr<std::vector<std::vector<vision::Detection>>> ReadDetections(
+    ByteCursor& cursor) {
   std::vector<std::vector<vision::Detection>> detections;
   uint32_t frames = cursor.U32();
+  if (frames > cursor.Remaining() / kDetectionFrameBytes) {
+    return Status::DataLoss("detection frame count exceeds the payload");
+  }
   detections.reserve(frames);
   for (uint32_t f = 0; f < frames && cursor.ok(); ++f) {
     uint32_t count = cursor.U32();
+    if (count > cursor.Remaining() / kDetectionBytes) {
+      return Status::DataLoss("detection count exceeds the payload");
+    }
     std::vector<vision::Detection> frame;
     frame.reserve(count);
     for (uint32_t d = 0; d < count && cursor.ok(); ++d) {
@@ -320,6 +333,9 @@ StatusOr<std::vector<InstanceResult>> DecodeExecuteResponse(
     const std::vector<uint8_t>& bytes) {
   ByteCursor cursor(bytes);
   uint32_t count = cursor.U32();
+  if (count > cursor.Remaining() / kInstanceResultBytes) {
+    return Status::DataLoss("malformed execute-range response payload");
+  }
   std::vector<InstanceResult> results;
   results.reserve(count);
   for (uint32_t i = 0; i < count && cursor.ok(); ++i) {
@@ -341,7 +357,7 @@ StatusOr<std::vector<InstanceResult>> DecodeExecuteResponse(
                           video::container::Demux(muxed));
       result.output.video = std::move(container.video);
     }
-    result.output.detections = ReadDetections(cursor);
+    VR_ASSIGN_OR_RETURN(result.output.detections, ReadDetections(cursor));
     result.output.written_path = cursor.Str();
     results.push_back(std::move(result));
   }
@@ -384,7 +400,7 @@ StatusOr<std::vector<queries::SemanticEntry>> DecodeCacheEntries(
     entry.width = cursor.I32();
     entry.height = cursor.I32();
     entry.fps = cursor.F64();
-    entry.detections = ReadDetections(cursor);
+    VR_ASSIGN_OR_RETURN(entry.detections, ReadDetections(cursor));
     if (!cursor.ok()) break;
     if (entry.range.count <= 0 ||
         entry.detections.size() != static_cast<size_t>(entry.range.count)) {

@@ -13,6 +13,8 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr uint32_t kManifestMagic = 0x56524453;  // "VRDS".
+// One camera record: 4 x I32, a U8 kind and 6 x F64.
+constexpr size_t kCameraBytes = 65;
 
 std::string AssetFileName(int index) {
   return "video_" + std::to_string(index) + ".vrmp";
@@ -92,6 +94,9 @@ StatusOr<sim::Dataset> ParseDatasetManifest(const std::vector<uint8_t>& bytes) {
   dataset.config.traffic_cameras_per_tile = cursor.I32();
   dataset.config.panoramic_cameras_per_tile = cursor.I32();
   uint32_t asset_count = cursor.U32();
+  if (asset_count > cursor.Remaining() / kCameraBytes) {
+    return Status::DataLoss("dataset manifest asset count exceeds its size");
+  }
   dataset.assets.resize(asset_count);
   for (uint32_t i = 0; i < asset_count; ++i) {
     dataset.assets[i].camera = ReadCamera(cursor);

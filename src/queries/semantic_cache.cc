@@ -27,6 +27,11 @@ uint64_t Fnv1a(const std::string& text) {
 
 constexpr uint32_t kPersistMagic = 0x43535256;  // "VRSC" little-endian.
 constexpr uint32_t kPersistVersion = 1;
+// Smallest encodings of a persisted frame (its U32 detection count) and
+// detection (U8 + 4 x I32 + F64 + I32); LoadPersisted bounds each count by
+// the bytes left divided by these before allocating.
+constexpr size_t kPersistFrameBytes = 4;
+constexpr size_t kPersistDetectionBytes = 29;
 
 /// Registry instruments, shared process-wide (the cache itself may have
 /// several instances; the metrics aggregate them, like the store counters).
@@ -482,13 +487,15 @@ Status SemanticCache::LoadPersisted() {
     entry.width = cursor.I32();
     entry.height = cursor.I32();
     entry.fps = cursor.F64();
-    if (!cursor.ok() || entry.range.count <= 0 || entry.range.count > (1 << 24)) {
+    if (!cursor.ok() || entry.range.count <= 0 ||
+        static_cast<size_t>(entry.range.count) >
+            cursor.Remaining() / kPersistFrameBytes) {
       return Status::DataLoss("semantic cache entry truncated: " + name);
     }
     entry.detections.resize(static_cast<size_t>(entry.range.count));
     for (auto& frame : entry.detections) {
       uint32_t count = cursor.U32();
-      if (!cursor.ok() || count > (1u << 20)) {
+      if (!cursor.ok() || count > cursor.Remaining() / kPersistDetectionBytes) {
         return Status::DataLoss("semantic cache entry truncated: " + name);
       }
       frame.resize(count);

@@ -13,35 +13,20 @@ namespace {
 
 int ClampCoord(int v, int limit) { return std::clamp(v, 0, limit - 1); }
 
-/// True for the block widths the dispatch table's SAD kernel handles (full
-/// luma blocks and their chroma halves).
-bool KernelSadSize(int size) { return size == 8 || size == 16 || size == 32; }
-
 /// SAD without call accounting; DiamondSearch batches its own count.
 int64_t SadBoundedImpl(const Plane& cur, const Plane& ref, int bx, int by,
                        int size, int dx, int dy, int64_t bound) {
-  int64_t sad = 0;
   bool inside = bx + dx >= 0 && by + dy >= 0 && bx + dx + size <= ref.width &&
                 by + dy + size <= ref.height;
   if (inside) {
-    if (KernelSadSize(size)) {
-      return kernels::Kernels().sad_bounded(cur.Row(by) + bx, cur.width,
-                                            ref.Row(by + dy) + bx + dx,
-                                            ref.width, size, bound);
-    }
-    for (int y = 0; y < size; ++y) {
-      const uint8_t* crow = cur.Row(by + y) + bx;
-      const uint8_t* rrow = ref.Row(by + dy + y) + bx + dx;
-      for (int x = 0; x < size; ++x) {
-        sad += std::abs(static_cast<int>(crow[x]) - rrow[x]);
-      }
-      if (sad >= bound) return sad;
-    }
-    return sad;
+    return kernels::Kernels().sad_bounded(cur.Row(by) + bx, cur.width,
+                                          ref.Row(by + dy) + bx + dx, ref.width,
+                                          size, bound);
   }
   // Edge-clamped slow path: per-sample coordinate clamping resists a
   // contiguous-row kernel; blocks touching the frame border are a thin
   // minority, so this stays scalar.
+  int64_t sad = 0;
   for (int y = 0; y < size; ++y) {
     const uint8_t* crow = cur.Row(by + y) + bx;
     const uint8_t* rrow = ref.Row(ClampCoord(by + dy + y, ref.height));

@@ -128,6 +128,7 @@ StatusOr<Container> Demux(const std::vector<uint8_t>& bytes) {
   ByteReader reader(bytes.data(), bytes.size());
   Container container;
   bool seen_magic = false, seen_prop = false;
+  uint32_t frame_count = 0;
   std::vector<uint64_t> frame_sizes;
   std::vector<uint8_t> key_flags, qps, mdat;
 
@@ -154,7 +155,7 @@ StatusOr<Container> Demux(const std::vector<uint8_t>& bytes) {
       }
       seen_magic = true;
     } else if (std::memcmp(type, "PROP", 4) == 0) {
-      uint32_t profile, width, height, frame_count;
+      uint32_t profile, width, height;
       double fps;
       if (!body.ReadU32(profile) || !body.ReadU32(width) || !body.ReadU32(height) ||
           !body.ReadF64(fps) || !body.ReadU32(frame_count)) {
@@ -165,7 +166,6 @@ StatusOr<Container> Demux(const std::vector<uint8_t>& bytes) {
       container.video.width = static_cast<int>(width);
       container.video.height = static_cast<int>(height);
       container.video.fps = fps;
-      container.video.frames.resize(frame_count);
       seen_prop = true;
     } else if (std::memcmp(type, "INDX", 4) == 0) {
       size_t count = payload.size() / 10;
@@ -192,9 +192,12 @@ StatusOr<Container> Demux(const std::vector<uint8_t>& bytes) {
 
   if (!seen_magic) return Status::InvalidArgument("missing VRMP magic box");
   if (!seen_prop) return Status::DataLoss("missing PROP box");
-  if (frame_sizes.size() != container.video.frames.size()) {
+  // PROP's frame count is trusted only once the INDX box, whose entry count
+  // its payload size bounds, agrees with it.
+  if (frame_sizes.size() != frame_count) {
     return Status::DataLoss("INDX entry count does not match PROP frame count");
   }
+  container.video.frames.resize(frame_count);
 
   size_t offset = 0;
   for (size_t i = 0; i < frame_sizes.size(); ++i) {

@@ -68,35 +68,25 @@ const KernelTable kScalarTable = {
     ScalarAccumulateRow, ScalarRasterSpan,
 };
 
-const KernelTable kSse2Table = {
-    Sse2SadBounded, Sse2ForwardDct, Sse2InverseDct, Sse2Quantize,
-    Sse2Dequantize, Sse2RgbToYuvRow, Sse2YuvToRgbRow, Sse2MaskStaticRow,
-    Sse2AccumulateRow, Sse2RasterSpan,
-};
-
+#if defined(VISUALROAD_NO_AVX2_COMPILER)
+// The compiler cannot target AVX2, so that level runs the scalar kernels.
+const KernelTable& kAvx2Table = kScalarTable;
+#else
 const KernelTable kAvx2Table = {
     Avx2SadBounded, Avx2ForwardDct, Avx2InverseDct, Avx2Quantize,
-    Avx2Dequantize, Avx2RgbToYuvRow, Avx2YuvToRgbRow, Avx2MaskStaticRow,
-    Avx2AccumulateRow, Avx2RasterSpan,
+    Avx2Dequantize, Avx2RgbToYuvRow, ScalarYuvToRgbRow, ScalarMaskStaticRow,
+    ScalarAccumulateRow, Avx2RasterSpan,
 };
+#endif
 
 const KernelTable& TableFor(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return kScalarTable;
-    case SimdLevel::kSse2:
-      return kSse2Table;
-    case SimdLevel::kAvx2:
-      return kAvx2Table;
-  }
-  return kScalarTable;
+  return level == SimdLevel::kAvx2 ? kAvx2Table : kScalarTable;
 }
 
 metrics::Gauge& SimdLevelGauge() {
   static metrics::Gauge& gauge = metrics::MetricsRegistry::Global().GetGauge(
       "vr_simd_level",
-      "Active SIMD dispatch level for the pixel kernels (0=scalar, 1=sse2, "
-      "2=avx2).");
+      "Active SIMD dispatch level for the pixel kernels (0=scalar, 2=avx2).");
   return gauge;
 }
 

@@ -7,14 +7,14 @@
 // the 8x8 DCT/IDCT, quantisation, YUV<->RGB conversion, background
 // subtraction, plane accumulation, and rasterizer span shading — funnels
 // through one function-pointer table selected at startup from CPUID
-// (scalar / SSE2 / AVX2). Vector variants are BYTE-IDENTICAL to scalar by
+// (scalar / AVX2). AVX2 variants are BYTE-IDENTICAL to scalar by
 // construction: integer kernels are exact, and floating-point kernels mirror
 // the scalar expression tree operation for operation (same association order,
 // no FMA contraction, truncating conversions), so the determinism and
 // faults-off byte-identity suites pass unchanged at every dispatch level.
 //
-// Pin a level with VR_SIMD=scalar|sse2|avx2 (clamped to what the CPU
-// supports) or SetSimdLevelForTest(). The selected level is exported as the
+// Pin a level with VR_SIMD=scalar|avx2 (clamped to what the CPU supports) or
+// SetSimdLevelForTest(). The selected level is exported as the
 // vr_simd_level gauge; call volume per kernel flows into
 // vr_kernel_calls_total{kernel="..."} at call-site (batched) granularity.
 
@@ -60,8 +60,8 @@ struct SpanSetup {
 struct KernelTable {
   /// SAD between two size x size blocks that lie fully inside their planes,
   /// with the scalar path's per-row early exit: after each row, if the
-  /// running sum has reached `bound`, it is returned as-is. `size` is 8, 16,
-  /// or 32. Exact (integer) at every level.
+  /// running sum has reached `bound`, it is returned as-is. Any `size` >= 1;
+  /// AVX2 vectorises 8, 16 and 32. Exact (integer) at every level.
   int64_t (*sad_bounded)(const uint8_t* cur, int cur_stride, const uint8_t* ref,
                          int ref_stride, int size, int64_t bound);
 

@@ -1,23 +1,20 @@
 // AVX2 kernel variants. This translation unit alone is compiled with -mavx2
-// (per-file COMPILE_OPTIONS); the rest of the build keeps the baseline ISA,
-// and dispatch guarantees these bodies only run on CPUs that report AVX2.
-// Identity discipline matches kernels_sse2.cc: element-wise IEEE double ops in
-// the scalar association order, no FMA intrinsics (and -mavx2 does not imply
-// -mfma, so nothing can contract), truncating conversions. Only the lane
-// width changes (4 doubles / 32 bytes per step).
-//
-// If the configure step finds the compiler cannot take -mavx2 it defines
-// VISUALROAD_NO_AVX2_COMPILER for this file and every Avx2* entry forwards to
-// the SSE2 level, keeping the dispatch tables fully populated.
-
-#include "video/kernels/kernels_internal.h"
-
-#if defined(__AVX2__) && !defined(VISUALROAD_NO_AVX2_COMPILER)
+// (per-file COMPILE_OPTIONS, and only when the compiler takes the flag); the
+// rest of the build keeps the baseline ISA, and dispatch guarantees these
+// bodies only run on CPUs that report AVX2. Identity discipline: integer
+// kernels (SAD, dequantised level scaling) are exact by nature; floating-point
+// kernels replay the scalar expression tree operation for operation -- same
+// association order, separate mul/add (no FMA intrinsics, and -mavx2 does not
+// imply -mfma, so nothing can contract), truncating conversions -- so each
+// lane computes the bit-exact scalar value. Final roundings that have no
+// vector twin (lround in the inverse DCT) stay scalar on the accumulated sums.
 
 #include <immintrin.h>
 
 #include <cmath>
 #include <cstring>
+
+#include "video/kernels/kernels_internal.h"
 
 namespace visualroad::video::kernels::internal {
 
@@ -53,26 +50,39 @@ inline uint32_t PackBytes(__m128i v) {
   return static_cast<uint32_t>(_mm_cvtsi128_si32(packed8));
 }
 
+/// SAD of one row of 8, 16 or 32 samples with a single psadbw / vpsadbw.
+inline int64_t RowSad(const uint8_t* c, const uint8_t* r, int size) {
+  if (size == 8) {
+    __m128i a = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(c));
+    __m128i b = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r));
+    return _mm_cvtsi128_si64(_mm_sad_epu8(a, b));
+  }
+  __m128i sad;
+  if (size == 16) {
+    sad = _mm_sad_epu8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(c)),
+                       _mm_loadu_si128(reinterpret_cast<const __m128i*>(r)));
+  } else {
+    __m256i row = _mm256_sad_epu8(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r)));
+    sad = _mm_add_epi64(_mm256_castsi256_si128(row),
+                        _mm256_extracti128_si256(row, 1));
+  }
+  return _mm_cvtsi128_si64(sad) +
+         _mm_cvtsi128_si64(_mm_unpackhi_epi64(sad, sad));
+}
+
 }  // namespace
 
 int64_t Avx2SadBounded(const uint8_t* cur, int cur_stride, const uint8_t* ref,
                        int ref_stride, int size, int64_t bound) {
-  if (size != 32) {
-    // 8/16-wide rows already fit one 128-bit psadbw; nothing for 256-bit
-    // lanes to add.
-    return Sse2SadBounded(cur, cur_stride, ref, ref_stride, size, bound);
+  if (size != 8 && size != 16 && size != 32) {
+    return ScalarSadBounded(cur, cur_stride, ref, ref_stride, size, bound);
   }
   int64_t sad = 0;
   for (int y = 0; y < size; ++y) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-        cur + static_cast<size_t>(y) * cur_stride));
-    __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-        ref + static_cast<size_t>(y) * ref_stride));
-    __m256i row = _mm256_sad_epu8(a, b);
-    __m128i halves = _mm_add_epi64(_mm256_castsi256_si128(row),
-                                   _mm256_extracti128_si256(row, 1));
-    sad += _mm_cvtsi128_si64(halves) +
-           _mm_cvtsi128_si64(_mm_unpackhi_epi64(halves, halves));
+    sad += RowSad(cur + static_cast<size_t>(y) * cur_stride,
+                  ref + static_cast<size_t>(y) * ref_stride, size);
     if (sad >= bound) return sad;
   }
   return sad;
@@ -206,78 +216,6 @@ void Avx2RgbToYuvRow(const uint8_t* rgb, int n, uint8_t* y, uint8_t* u,
   }
 }
 
-void Avx2YuvToRgbRow(const uint8_t* y, const uint8_t* u, const uint8_t* v,
-                     int n, uint8_t* rgb) {
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d yv = QuadToPd(y[i], y[i + 1], y[i + 2], y[i + 3]);
-    __m256d uv = _mm256_sub_pd(QuadToPd(u[i >> 1], u[(i + 1) >> 1],
-                                        u[(i + 2) >> 1], u[(i + 3) >> 1]),
-                               _mm256_set1_pd(128.0));
-    __m256d vv = _mm256_sub_pd(QuadToPd(v[i >> 1], v[(i + 1) >> 1],
-                                        v[(i + 2) >> 1], v[(i + 3) >> 1]),
-                               _mm256_set1_pd(128.0));
-    __m256d r =
-        _mm256_add_pd(yv, _mm256_mul_pd(_mm256_set1_pd(1.402), vv));
-    __m256d g = _mm256_sub_pd(
-        _mm256_sub_pd(yv, _mm256_mul_pd(_mm256_set1_pd(0.344136), uv)),
-        _mm256_mul_pd(_mm256_set1_pd(0.714136), vv));
-    __m256d b =
-        _mm256_add_pd(yv, _mm256_mul_pd(_mm256_set1_pd(1.772), uv));
-    alignas(16) int32_t ri[4], gi[4], bi[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(ri),
-                    _mm256_cvttpd_epi32(ClampBytePd(r)));
-    _mm_store_si128(reinterpret_cast<__m128i*>(gi),
-                    _mm256_cvttpd_epi32(ClampBytePd(g)));
-    _mm_store_si128(reinterpret_cast<__m128i*>(bi),
-                    _mm256_cvttpd_epi32(ClampBytePd(b)));
-    uint8_t* p = rgb + 3 * static_cast<size_t>(i);
-    for (int lane = 0; lane < 4; ++lane) {
-      p[3 * lane + 0] = static_cast<uint8_t>(ri[lane]);
-      p[3 * lane + 1] = static_cast<uint8_t>(gi[lane]);
-      p[3 * lane + 2] = static_cast<uint8_t>(bi[lane]);
-    }
-  }
-  for (; i < n; ++i) {
-    uint8_t* p = rgb + 3 * static_cast<size_t>(i);
-    YuvToRgbPixel(y[i], u[i >> 1], v[i >> 1], p, p + 1, p + 2);
-  }
-}
-
-void Avx2MaskStaticRow(const uint8_t* pv, const uint8_t* pb, double epsilon,
-                       int n, uint8_t* mask) {
-  const __m256d eps = _mm256_set1_pd(epsilon);
-  const __m256d zero = _mm256_setzero_pd();
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d v = QuadToPd(pv[i], pv[i + 1], pv[i + 2], pv[i + 3]);
-    __m256d b = QuadToPd(pb[i], pb[i + 1], pb[i + 2], pb[i + 3]);
-    __m256d moving = _mm256_cmp_pd(
-        AbsPd(_mm256_div_pd(_mm256_sub_pd(v, b), v)), eps, _CMP_LT_OQ);
-    __m256d both_zero = _mm256_and_pd(_mm256_cmp_pd(v, zero, _CMP_EQ_OQ),
-                                      _mm256_cmp_pd(b, zero, _CMP_EQ_OQ));
-    int bits = _mm256_movemask_pd(_mm256_or_pd(moving, both_zero));
-    mask[i] = static_cast<uint8_t>(bits & 1);
-    mask[i + 1] = static_cast<uint8_t>((bits >> 1) & 1);
-    mask[i + 2] = static_cast<uint8_t>((bits >> 2) & 1);
-    mask[i + 3] = static_cast<uint8_t>((bits >> 3) & 1);
-  }
-  for (; i < n; ++i) mask[i] = MaskStaticPixel(pv[i], pb[i], epsilon);
-}
-
-void Avx2AccumulateRow(const uint8_t* src, int n, int sign, uint32_t* acc) {
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i wide = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + i)));
-    __m256i* out = reinterpret_cast<__m256i*>(acc + i);
-    __m256i current = _mm256_loadu_si256(out);
-    _mm256_storeu_si256(out, sign >= 0 ? _mm256_add_epi32(current, wide)
-                                       : _mm256_sub_epi32(current, wide));
-  }
-  ScalarAccumulateRow(src + i, n - i, sign, acc + i);
-}
-
 void Avx2RasterSpan(const SpanSetup& s, double py, int x0, int n,
                     uint8_t* valid, float* depth, double* u, double* v) {
   const __m256d pyv = _mm256_set1_pd(py);
@@ -338,47 +276,3 @@ void Avx2RasterSpan(const SpanSetup& s, double py, int x0, int n,
 }
 
 }  // namespace visualroad::video::kernels::internal
-
-#else  // AVX2 unavailable at compile time: forward the level to SSE2.
-
-namespace visualroad::video::kernels::internal {
-
-int64_t Avx2SadBounded(const uint8_t* cur, int cur_stride, const uint8_t* ref,
-                       int ref_stride, int size, int64_t bound) {
-  return Sse2SadBounded(cur, cur_stride, ref, ref_stride, size, bound);
-}
-void Avx2ForwardDct(const int16_t* input, double* output) {
-  Sse2ForwardDct(input, output);
-}
-void Avx2InverseDct(const double* input, int16_t* output) {
-  Sse2InverseDct(input, output);
-}
-void Avx2Quantize(const double* coefficients, double step, int16_t* levels) {
-  Sse2Quantize(coefficients, step, levels);
-}
-void Avx2Dequantize(const int16_t* levels, double step, double* coefficients) {
-  Sse2Dequantize(levels, step, coefficients);
-}
-void Avx2RgbToYuvRow(const uint8_t* rgb, int n, uint8_t* y, uint8_t* u,
-                     uint8_t* v) {
-  Sse2RgbToYuvRow(rgb, n, y, u, v);
-}
-void Avx2YuvToRgbRow(const uint8_t* y, const uint8_t* u, const uint8_t* v,
-                     int n, uint8_t* rgb) {
-  Sse2YuvToRgbRow(y, u, v, n, rgb);
-}
-void Avx2MaskStaticRow(const uint8_t* pv, const uint8_t* pb, double epsilon,
-                       int n, uint8_t* mask) {
-  Sse2MaskStaticRow(pv, pb, epsilon, n, mask);
-}
-void Avx2AccumulateRow(const uint8_t* src, int n, int sign, uint32_t* acc) {
-  Sse2AccumulateRow(src, n, sign, acc);
-}
-void Avx2RasterSpan(const SpanSetup& s, double py, int x0, int n,
-                    uint8_t* valid, float* depth, double* u, double* v) {
-  Sse2RasterSpan(s, py, x0, n, valid, depth, u, v);
-}
-
-}  // namespace visualroad::video::kernels::internal
-
-#endif  // __AVX2__ && !VISUALROAD_NO_AVX2_COMPILER

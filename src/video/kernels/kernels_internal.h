@@ -8,7 +8,6 @@
 // element-wise (no reductions), so compiling them in an -mavx2 translation
 // unit cannot change their IEEE results.
 
-#include <cmath>
 #include <cstdint>
 
 #include "video/kernels/kernels.h"
@@ -48,36 +47,6 @@ inline void RgbToYuvPixel(uint8_t r8, uint8_t g8, uint8_t b8, uint8_t* y,
   *v = ClampByte(0.5 * r - 0.418688 * g - 0.081312 * b + 128.0);
 }
 
-/// BT.601 YUV -> RGB for one pixel; the exact expressions of
-/// video::YuvToRgb.
-inline void YuvToRgbPixel(uint8_t y8, uint8_t u8, uint8_t v8, uint8_t* r,
-                          uint8_t* g, uint8_t* b) {
-  double y = y8, u = u8 - 128.0, v = v8 - 128.0;
-  *r = ClampByte(y + 1.402 * v);
-  *g = ClampByte(y - 0.344136 * u - 0.714136 * v);
-  *b = ClampByte(y + 1.772 * u);
-}
-
-/// Background-subtraction static test for one luma sample pair.
-inline uint8_t MaskStaticPixel(uint8_t pv8, uint8_t pb8, double epsilon) {
-  double pv = pv8;
-  double pb = pb8;
-  if (pv == 0.0) return pb == 0.0 ? 1 : 0;
-  return std::abs((pv - pb) / pv) < epsilon ? 1 : 0;
-}
-
-/// Dead-zone quantiser for one coefficient (the exact pre-SIMD expressions).
-inline int16_t QuantizeCoefficient(double coefficient, double step) {
-  const double dead_zone = 1.0 / 3.0;
-  double scaled = coefficient / step;
-  double magnitude = std::abs(scaled);
-  int level = magnitude < dead_zone
-                  ? 0
-                  : static_cast<int>(magnitude + (1.0 - dead_zone) * 0.5);
-  level = level < 32767 ? level : 32767;
-  return static_cast<int16_t>(scaled < 0 ? -level : level);
-}
-
 /// Rasterizer span shading for one pixel centre (px, py); mirrors the
 /// original Rasterizer::DrawClipped inner loop up to (but excluding) the
 /// z-buffer test. Returns false where that loop would `continue`.
@@ -98,10 +67,9 @@ inline bool RasterPixel(const SpanSetup& s, double px, double py, float* depth,
 }
 
 // --- Per-level kernel entry points ------------------------------------------
-// Defined in kernels_scalar.cc / kernels_sse2.cc / kernels_avx2.cc; the
-// dispatch tables in kernels.cc are assembled from these. On targets where a
-// vector level cannot be compiled, its functions forward to the next level
-// down, keeping every table entry non-null.
+// Defined in kernels_scalar.cc / kernels_avx2.cc; the dispatch tables in
+// kernels.cc are assembled from these. The AVX2 table reuses the scalar row
+// kernels for yuv2rgb, mask and accum, where 256-bit lanes measured no faster.
 
 int64_t ScalarSadBounded(const uint8_t* cur, int cur_stride, const uint8_t* ref,
                          int ref_stride, int size, int64_t bound);
@@ -119,22 +87,6 @@ void ScalarAccumulateRow(const uint8_t* src, int n, int sign, uint32_t* acc);
 void ScalarRasterSpan(const SpanSetup& s, double py, int x0, int n,
                       uint8_t* valid, float* depth, double* u, double* v);
 
-int64_t Sse2SadBounded(const uint8_t* cur, int cur_stride, const uint8_t* ref,
-                       int ref_stride, int size, int64_t bound);
-void Sse2ForwardDct(const int16_t* input, double* output);
-void Sse2InverseDct(const double* input, int16_t* output);
-void Sse2Quantize(const double* coefficients, double step, int16_t* levels);
-void Sse2Dequantize(const int16_t* levels, double step, double* coefficients);
-void Sse2RgbToYuvRow(const uint8_t* rgb, int n, uint8_t* y, uint8_t* u,
-                     uint8_t* v);
-void Sse2YuvToRgbRow(const uint8_t* y, const uint8_t* u, const uint8_t* v,
-                     int n, uint8_t* rgb);
-void Sse2MaskStaticRow(const uint8_t* pv, const uint8_t* pb, double epsilon,
-                       int n, uint8_t* mask);
-void Sse2AccumulateRow(const uint8_t* src, int n, int sign, uint32_t* acc);
-void Sse2RasterSpan(const SpanSetup& s, double py, int x0, int n,
-                    uint8_t* valid, float* depth, double* u, double* v);
-
 int64_t Avx2SadBounded(const uint8_t* cur, int cur_stride, const uint8_t* ref,
                        int ref_stride, int size, int64_t bound);
 void Avx2ForwardDct(const int16_t* input, double* output);
@@ -143,11 +95,6 @@ void Avx2Quantize(const double* coefficients, double step, int16_t* levels);
 void Avx2Dequantize(const int16_t* levels, double step, double* coefficients);
 void Avx2RgbToYuvRow(const uint8_t* rgb, int n, uint8_t* y, uint8_t* u,
                      uint8_t* v);
-void Avx2YuvToRgbRow(const uint8_t* y, const uint8_t* u, const uint8_t* v,
-                     int n, uint8_t* rgb);
-void Avx2MaskStaticRow(const uint8_t* pv, const uint8_t* pb, double epsilon,
-                       int n, uint8_t* mask);
-void Avx2AccumulateRow(const uint8_t* src, int n, int sign, uint32_t* acc);
 void Avx2RasterSpan(const SpanSetup& s, double py, int x0, int n,
                     uint8_t* valid, float* depth, double* u, double* v);
 

@@ -1,7 +1,8 @@
 // Scalar reference kernels. These are the pre-SIMD inner loops moved behind
-// the dispatch table, unchanged: every vector variant is validated (and
-// tested) byte-identical against this translation unit, which is compiled
-// with the build's baseline flags only.
+// the dispatch table, unchanged: every AVX2 variant is validated (and tested)
+// byte-identical against this translation unit, which is compiled with the
+// build's baseline flags only. The AVX2 table also dispatches the yuv2rgb,
+// mask and accum row kernels here.
 
 #include <cmath>
 #include <cstdlib>
@@ -9,6 +10,40 @@
 #include "video/kernels/kernels_internal.h"
 
 namespace visualroad::video::kernels::internal {
+
+namespace {
+
+/// BT.601 YUV -> RGB for one pixel; the exact expressions of
+/// video::YuvToRgb.
+inline void YuvToRgbPixel(uint8_t y8, uint8_t u8, uint8_t v8, uint8_t* r,
+                          uint8_t* g, uint8_t* b) {
+  double y = y8, u = u8 - 128.0, v = v8 - 128.0;
+  *r = ClampByte(y + 1.402 * v);
+  *g = ClampByte(y - 0.344136 * u - 0.714136 * v);
+  *b = ClampByte(y + 1.772 * u);
+}
+
+/// Background-subtraction static test for one luma sample pair.
+inline uint8_t MaskStaticPixel(uint8_t pv8, uint8_t pb8, double epsilon) {
+  double pv = pv8;
+  double pb = pb8;
+  if (pv == 0.0) return pb == 0.0 ? 1 : 0;
+  return std::abs((pv - pb) / pv) < epsilon ? 1 : 0;
+}
+
+/// Dead-zone quantiser for one coefficient (the exact pre-SIMD expressions).
+inline int16_t QuantizeCoefficient(double coefficient, double step) {
+  const double dead_zone = 1.0 / 3.0;
+  double scaled = coefficient / step;
+  double magnitude = std::abs(scaled);
+  int level = magnitude < dead_zone
+                  ? 0
+                  : static_cast<int>(magnitude + (1.0 - dead_zone) * 0.5);
+  level = level < 32767 ? level : 32767;
+  return static_cast<int16_t>(scaled < 0 ? -level : level);
+}
+
+}  // namespace
 
 int64_t ScalarSadBounded(const uint8_t* cur, int cur_stride, const uint8_t* ref,
                          int ref_stride, int size, int64_t bound) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "common/random.h"
 #include "video/container/vrmp.h"
@@ -123,6 +125,18 @@ TEST(VrmpTest, FileRoundTrip) {
 
 TEST(VrmpTest, ReadMissingFileFails) {
   EXPECT_FALSE(ReadContainerFile("/nonexistent/dir/file.vrmp").ok());
+}
+
+TEST(VrmpTest, PropFrameCountBeyondIndexIsDataLoss) {
+  std::vector<uint8_t> bytes = Mux(Container());
+  // PROP follows the 16-byte VRMP box; after its 12-byte header, the last
+  // U32 of its 24-byte payload is the frame count. Claim 2^32-1 frames
+  // against an empty index.
+  ASSERT_EQ(std::string(bytes.begin() + 16, bytes.begin() + 20), "PROP");
+  std::fill(bytes.begin() + 48, bytes.begin() + 52, 0xFF);
+  auto parsed = Demux(bytes);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(VrmpTest, IndexMdatMismatchRejected) {

@@ -13,6 +13,7 @@
 
 #include "common/fault.h"
 #include "common/metrics.h"
+#include "common/serialize.h"
 #include "dist/coordinator.h"
 #include "dist/protocol.h"
 #include "dist/rpc.h"
@@ -183,6 +184,37 @@ TEST(RpcFramingTest, TimeoutMidFrameIsResumableNotDesync) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->correlation_id, frame.correlation_id);
   EXPECT_EQ(resumed->payload, frame.payload);
+}
+
+// --- Count fields are bounded by the payload ---
+
+TEST(ProtocolDecodeTest, ResponseCountBeyondPayloadIsDataLoss) {
+  auto decoded = DecodeExecuteResponse({0xFF, 0xFF, 0xFF, 0xFF});
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(ProtocolDecodeTest, DetectionCountsBeyondPayloadAreDataLoss) {
+  ByteWriter entry;  // One cache entry's fields, up to its detections.
+  entry.U32(1);
+  entry.U64(7);
+  entry.Str("");
+  entry.F64(0.5);
+  entry.I32(0);
+  entry.I32(1);
+  entry.I32(96);
+  entry.I32(54);
+  entry.F64(15.0);
+  ByteWriter frames = entry;  // Claims 2^32-1 frames.
+  frames.U32(0xFFFFFFFF);
+  ByteWriter detections = entry;  // One frame claiming 2^32-1 detections.
+  detections.U32(1);
+  detections.U32(0xFFFFFFFF);
+  for (const ByteWriter* payload : {&frames, &detections}) {
+    auto decoded = DecodeCacheEntries(payload->bytes());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 // --- Cache shipping payload ---

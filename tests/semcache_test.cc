@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/serialize.h"
 #include "driver/datasets.h"
 #include "queries/plan.h"
 #include "queries/semantic_cache.h"
@@ -271,6 +272,44 @@ TEST(SemanticCacheTest, PersistAndLoadRoundTripThroughShardedStore) {
   EXPECT_EQ(slice[0][0].box.x0, 5);
   EXPECT_DOUBLE_EQ(slice[0][0].score, 0.9);
   EXPECT_NE(recovered.Probe(TestKey(0.0, "model-b"), {40, 10}), nullptr);
+  fs::remove_all(root);
+}
+
+TEST(SemanticCacheTest, PersistedCountsBeyondFileAreDataLoss) {
+  std::string root =
+      (fs::temp_directory_path() / "vr_semcache_count_test").string();
+  fs::remove_all(root);
+  storage::StoreOptions store_options;
+  store_options.root = root;
+  auto store = storage::ShardedStore::Open(store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  SemanticCacheOptions options;
+  options.store = &*store;
+
+  // An entry header (magic "VRSC", version 1) claiming `frames` frames.
+  auto header = [](int32_t frames) {
+    ByteWriter writer;
+    writer.U32(0x43535256);
+    writer.U32(1);
+    writer.U64(7);
+    writer.Str("");
+    writer.F64(0.25);
+    writer.I32(0);
+    writer.I32(frames);
+    writer.I32(64);
+    writer.I32(36);
+    writer.F64(15.0);
+    return writer;
+  };
+  ByteWriter frames = header(1 << 24);  // 52 bytes claiming 2^24 frames.
+  ByteWriter detections = header(1);  // One frame claiming 2^20-1 boxes.
+  detections.U32((1u << 20) - 1);
+  for (const ByteWriter* file : {&frames, &detections}) {
+    ASSERT_TRUE(store->Put("semcache/claims", file->bytes()).ok());
+    SemanticCache cache(options);
+    Status loaded = cache.LoadPersisted();
+    EXPECT_EQ(loaded.code(), StatusCode::kDataLoss) << loaded.ToString();
+  }
   fs::remove_all(root);
 }
 

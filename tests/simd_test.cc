@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/cpu.h"
@@ -29,14 +31,6 @@ namespace {
 
 namespace kernels = video::kernels;
 
-std::vector<SimdLevel> AvailableLevels() {
-  std::vector<SimdLevel> levels;
-  for (int l = 0; l <= static_cast<int>(DetectedSimdLevel()); ++l) {
-    levels.push_back(static_cast<SimdLevel>(l));
-  }
-  return levels;
-}
-
 class SimdLevelTest : public testing::TestWithParam<SimdLevel> {
  protected:
   void TearDown() override {
@@ -45,7 +39,7 @@ class SimdLevelTest : public testing::TestWithParam<SimdLevel> {
 };
 
 INSTANTIATE_TEST_SUITE_P(AllLevels, SimdLevelTest,
-                         testing::ValuesIn(AvailableLevels()),
+                         testing::ValuesIn(AvailableSimdLevels()),
                          [](const testing::TestParamInfo<SimdLevel>& info) {
                            return SimdLevelName(info.param);
                          });
@@ -91,7 +85,8 @@ TEST_P(SimdLevelTest, SadMatchesScalarIncludingEarlyExit) {
   std::vector<uint8_t> cur(kStride * 48), ref(kStride * 48);
   for (uint8_t& v : cur) v = static_cast<uint8_t>(rng.NextInt(0, 255));
   for (uint8_t& v : ref) v = static_cast<uint8_t>(rng.NextInt(0, 255));
-  for (int size : {8, 16, 32}) {
+  // 8, 16 and 32 are the vectorised widths; 4 and 12 take the scalar path.
+  for (int size : {4, 8, 12, 16, 32}) {
     for (int trial = 0; trial < 40; ++trial) {
       int cx = rng.NextInt(0, kStride - size);
       int cy = rng.NextInt(0, 48 - size);
@@ -381,14 +376,12 @@ TEST(SimdDispatchTest, ParseAndNameRoundTrip) {
   SimdLevel level = SimdLevel::kAvx2;
   EXPECT_TRUE(ParseSimdLevel("scalar", &level));
   EXPECT_EQ(SimdLevel::kScalar, level);
-  EXPECT_TRUE(ParseSimdLevel("SSE2", &level));
-  EXPECT_EQ(SimdLevel::kSse2, level);
   EXPECT_TRUE(ParseSimdLevel("Avx2", &level));
   EXPECT_EQ(SimdLevel::kAvx2, level);
+  EXPECT_FALSE(ParseSimdLevel("SSE2", &level));
   EXPECT_FALSE(ParseSimdLevel("avx512", &level));
   EXPECT_EQ(SimdLevel::kAvx2, level);  // Unparseable input leaves it alone.
-  for (SimdLevel l :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  for (SimdLevel l : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     SimdLevel parsed = SimdLevel::kScalar;
     EXPECT_TRUE(ParseSimdLevel(SimdLevelName(l), &parsed));
     EXPECT_EQ(l, parsed);
@@ -398,6 +391,21 @@ TEST(SimdDispatchTest, ParseAndNameRoundTrip) {
 TEST(SimdDispatchTest, RequestedLevelNeverExceedsDetected) {
   EXPECT_LE(static_cast<int>(RequestedSimdLevel()),
             static_cast<int>(DetectedSimdLevel()));
+}
+
+TEST(SimdDispatchTest, UnknownPinNarrowsToScalar) {
+  const char* env = std::getenv("VR_SIMD");
+  const bool pinned = env != nullptr;
+  const std::string saved = pinned ? env : "";
+  setenv("VR_SIMD", "sse2", 1);
+  EXPECT_EQ(SimdLevel::kScalar, RequestedSimdLevel());
+  setenv("VR_SIMD", "bogus", 1);
+  EXPECT_EQ(SimdLevel::kScalar, RequestedSimdLevel());
+  setenv("VR_SIMD", "", 1);
+  EXPECT_EQ(DetectedSimdLevel(), RequestedSimdLevel());
+  unsetenv("VR_SIMD");
+  EXPECT_EQ(DetectedSimdLevel(), RequestedSimdLevel());
+  if (pinned) setenv("VR_SIMD", saved.c_str(), 1);
 }
 
 TEST(SimdDispatchTest, SetLevelForTestClampsAndRepoints) {

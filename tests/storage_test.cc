@@ -447,6 +447,15 @@ class DatasetIoTest : public ::testing::Test {
 
 sim::Dataset* DatasetIoTest::dataset_ = nullptr;
 
+TEST(DatasetManifestTest, AssetCountBeyondPayloadIsDataLoss) {
+  std::vector<uint8_t> bytes = SerializeDatasetManifest(sim::Dataset());
+  // The manifest ends with its asset count; claim 2^32-1 assets.
+  std::fill(bytes.end() - 4, bytes.end(), 0xFF);
+  auto parsed = ParseDatasetManifest(bytes);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+}
+
 TEST_F(DatasetIoTest, ManifestRoundTrips) {
   auto parsed = ParseDatasetManifest(SerializeDatasetManifest(*dataset_));
   ASSERT_TRUE(parsed.ok());
