@@ -163,15 +163,24 @@ std::vector<uint8_t> SerializeGroundTruth(const std::vector<FrameGroundTruth>& f
 
 StatusOr<std::vector<FrameGroundTruth>> ParseGroundTruth(
     const std::vector<uint8_t>& bytes) {
+  constexpr size_t kFrameBytes = 4;  // The frame's U32 box count.
+  // I32 + U8 + 4 x I32 + F64 + an empty Str's U32 length + 4 x I32 + U8.
+  constexpr size_t kBoxBytes = 50;
   ByteCursor cursor(bytes);
   uint32_t frame_count = cursor.U32();
+  if (frame_count > cursor.Remaining() / kFrameBytes) {
+    return Status::DataLoss("ground-truth frame count exceeds the payload");
+  }
   std::vector<FrameGroundTruth> frames;
   frames.reserve(frame_count);
   for (uint32_t f = 0; f < frame_count; ++f) {
     FrameGroundTruth frame;
     uint32_t box_count = cursor.U32();
+    if (box_count > cursor.Remaining() / kBoxBytes) {
+      return Status::DataLoss("ground-truth box count exceeds the payload");
+    }
     frame.boxes.reserve(box_count);
-    for (uint32_t b = 0; b < box_count; ++b) {
+    for (uint32_t b = 0; b < box_count && cursor.ok(); ++b) {
       GroundTruthBox box;
       box.entity_id = cursor.I32();
       box.object_class = static_cast<ObjectClass>(cursor.U8());

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/serialize.h"
 #include "simulation/city.h"
 #include "simulation/generator.h"
 #include "simulation/ground_truth.h"
@@ -514,6 +515,24 @@ TEST(GroundTruthTest, TruncatedPayloadRejected) {
   std::vector<uint8_t> bytes = SerializeGroundTruth(frames);
   bytes.resize(bytes.size() - 3);
   EXPECT_FALSE(ParseGroundTruth(bytes).ok());
+}
+
+TEST(GroundTruthTest, FrameCountBeyondPayloadIsDataLoss) {
+  auto parsed = ParseGroundTruth({0xFF, 0xFF, 0xFF, 0xFF});
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(GroundTruthTest, BoxCountBeyondPayloadIsDataLoss) {
+  // One frame claiming 2^24, then 2^32-1, boxes with none present.
+  for (uint32_t claimed : {1u << 24, 0xFFFFFFFFu}) {
+    ByteWriter payload;
+    payload.U32(1);
+    payload.U32(claimed);
+    auto parsed = ParseGroundTruth(payload.bytes());
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 // --- City ---
