@@ -77,7 +77,10 @@ void BM_DetectorForward(benchmark::State& state) {
     vision::Tensor grid = detector.Forward(frame);
     benchmark::DoNotOptimize(grid.data().data());
   }
-  state.counters["MACs"] = static_cast<double>(detector.MacsPerFrame());
+  const double macs = static_cast<double>(detector.MacsPerFrame());
+  state.counters["MACs"] = macs;
+  state.counters["MAC/s"] = benchmark::Counter(
+      macs * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_DetectorForward)->Arg(48)->Arg(96)->Arg(224)
     ->Unit(benchmark::kMillisecond);
