@@ -76,10 +76,22 @@ class ByteCursor {
     return s;
   }
 
+  /// Reads a U32 count of items whose smallest encoding is `min_item_bytes`
+  /// (at least 1). Fails the cursor and returns 0 when the unread bytes
+  /// cannot hold that many items, so a corrupt count never sizes an
+  /// allocation or a loop.
+  uint32_t Count(size_t min_item_bytes) {
+    const uint32_t n = U32();
+    if (n > Remaining() / min_item_bytes) {
+      ok_ = false;
+      return 0;
+    }
+    return n;
+  }
+
   bool ok() const { return ok_; }
   bool AtEnd() const { return pos_ >= size_; }
-  /// Unread bytes (0 after a failed read). Decoders bound a count field by
-  /// Remaining() / (smallest encoding of one item) before allocating for it.
+  /// Unread bytes (0 after a failed read).
   size_t Remaining() const { return ok_ ? size_ - pos_ : 0; }
 
  private:

@@ -93,8 +93,8 @@ StatusOr<sim::Dataset> ParseDatasetManifest(const std::vector<uint8_t>& bytes) {
   dataset.config.seed = cursor.U64();
   dataset.config.traffic_cameras_per_tile = cursor.I32();
   dataset.config.panoramic_cameras_per_tile = cursor.I32();
-  uint32_t asset_count = cursor.U32();
-  if (asset_count > cursor.Remaining() / kCameraBytes) {
+  const uint32_t asset_count = cursor.Count(kCameraBytes);
+  if (!cursor.ok()) {
     return Status::DataLoss("dataset manifest asset count exceeds its size");
   }
   dataset.assets.resize(asset_count);

@@ -167,16 +167,16 @@ StatusOr<std::vector<FrameGroundTruth>> ParseGroundTruth(
   // I32 + U8 + 4 x I32 + F64 + an empty Str's U32 length + 4 x I32 + U8.
   constexpr size_t kBoxBytes = 50;
   ByteCursor cursor(bytes);
-  uint32_t frame_count = cursor.U32();
-  if (frame_count > cursor.Remaining() / kFrameBytes) {
+  const uint32_t frame_count = cursor.Count(kFrameBytes);
+  if (!cursor.ok()) {
     return Status::DataLoss("ground-truth frame count exceeds the payload");
   }
   std::vector<FrameGroundTruth> frames;
   frames.reserve(frame_count);
   for (uint32_t f = 0; f < frame_count; ++f) {
     FrameGroundTruth frame;
-    uint32_t box_count = cursor.U32();
-    if (box_count > cursor.Remaining() / kBoxBytes) {
+    const uint32_t box_count = cursor.Count(kBoxBytes);
+    if (!cursor.ok()) {
       return Status::DataLoss("ground-truth box count exceeds the payload");
     }
     frame.boxes.reserve(box_count);

@@ -562,32 +562,38 @@ Status ShardedStore::SaveManifestLocked() const {
 }
 
 Status ShardedStore::LoadManifestLocked() {
+  // Smallest encodings: a file is an empty name, its size and a block count;
+  // a block is its id, size and replica count; a replica is one node id.
+  constexpr size_t kFileBytes = 4 + 8 + 4;
+  constexpr size_t kBlockBytes = 8 + 8 + 4;
+  constexpr size_t kReplicaBytes = 4;
   VR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(ManifestPath()));
   ByteCursor cursor(bytes);
   if (cursor.U32() != 0x5652534D) {
     return Status::DataLoss("bad manifest magic");
   }
   next_block_id_ = cursor.U64();
-  uint32_t file_count = cursor.U32();
+  const uint32_t file_count = cursor.Count(kFileBytes);
   files_.clear();
-  for (uint32_t f = 0; f < file_count; ++f) {
+  for (uint32_t f = 0; f < file_count && cursor.ok(); ++f) {
     std::string name = cursor.Str();
     FileEntry entry;
     entry.size = static_cast<int64_t>(cursor.U64());
-    uint32_t block_count = cursor.U32();
-    for (uint32_t b = 0; b < block_count; ++b) {
+    const uint32_t block_count = cursor.Count(kBlockBytes);
+    for (uint32_t b = 0; b < block_count && cursor.ok(); ++b) {
       BlockPlacement block;
       block.block_id = cursor.U64();
       block.size = static_cast<int64_t>(cursor.U64());
-      uint32_t replica_count = cursor.U32();
-      for (uint32_t r = 0; r < replica_count; ++r) {
+      const uint32_t replica_count = cursor.Count(kReplicaBytes);
+      for (uint32_t r = 0; r < replica_count && cursor.ok(); ++r) {
         block.replicas.push_back(static_cast<int>(cursor.U32()));
       }
       entry.blocks.push_back(std::move(block));
     }
-    if (!cursor.ok()) return Status::DataLoss("truncated manifest");
+    if (!cursor.ok()) break;
     files_[name] = std::move(entry);
   }
+  if (!cursor.ok()) return Status::DataLoss("truncated manifest");
   return Status::Ok();
 }
 

@@ -773,21 +773,27 @@ Status VideoStorageService::LoadCatalog() {
     if (bytes.status().code() == StatusCode::kNotFound) return Status::Ok();
     return bytes.status();
   }
+  // Smallest encodings: a video is an empty name, profile, fps, frame count,
+  // GOP length and variant count; a variant is its key, base flag, bytes,
+  // last use, hits and segment count; a segment is four fixed fields.
+  constexpr size_t kVideoBytes = 4 + 1 + 8 + 4 + 4 + 4;
+  constexpr size_t kVariantBytes = 3 * 4 + 1 + 3 * 8 + 4;
+  constexpr size_t kSegmentBytes = 8 + 8 + 4 + 4;
   ByteCursor cursor(*bytes);
   if (cursor.U32() != kCatalogMagic) return Status::DataLoss("bad vss catalog magic");
   use_clock_ = cursor.U64();
-  uint32_t video_count = cursor.U32();
+  const uint32_t video_count = cursor.Count(kVideoBytes);
   std::lock_guard lock(mutex_);
   catalog_.clear();
-  for (uint32_t v = 0; v < video_count; ++v) {
+  for (uint32_t v = 0; v < video_count && cursor.ok(); ++v) {
     CatalogEntry entry;
     entry.name = cursor.Str();
     entry.profile = static_cast<video::codec::Profile>(cursor.U8());
     entry.fps = cursor.F64();
     entry.frame_count = static_cast<int>(cursor.U32());
     entry.gop_length = static_cast<int>(cursor.U32());
-    uint32_t variant_count = cursor.U32();
-    for (uint32_t i = 0; i < variant_count; ++i) {
+    const uint32_t variant_count = cursor.Count(kVariantBytes);
+    for (uint32_t i = 0; i < variant_count && cursor.ok(); ++i) {
       VariantKey key;
       key.width = cursor.I32();
       key.height = cursor.I32();
@@ -798,8 +804,8 @@ Status VideoStorageService::LoadCatalog() {
       variant.bytes = static_cast<int64_t>(cursor.U64());
       variant.last_use = cursor.U64();
       variant.hits = static_cast<int64_t>(cursor.U64());
-      uint32_t segment_count = cursor.U32();
-      for (uint32_t s = 0; s < segment_count; ++s) {
+      const uint32_t segment_count = cursor.Count(kSegmentBytes);
+      for (uint32_t s = 0; s < segment_count && cursor.ok(); ++s) {
         SegmentInfo segment;
         segment.offset = static_cast<int64_t>(cursor.U64());
         segment.length = static_cast<int64_t>(cursor.U64());
@@ -810,9 +816,10 @@ Status VideoStorageService::LoadCatalog() {
       stats_.bytes_stored += variant.bytes;
       entry.variants[key] = std::move(variant);
     }
-    if (!cursor.ok()) return Status::DataLoss("truncated vss catalog");
+    if (!cursor.ok()) break;
     catalog_[entry.name] = std::move(entry);
   }
+  if (!cursor.ok()) return Status::DataLoss("truncated vss catalog");
   VssMetrics::Get().bytes_stored.Add(static_cast<double>(stats_.bytes_stored));
   return Status::Ok();
 }

@@ -71,17 +71,13 @@ StatusOr<std::vector<std::vector<Detection>>> ParseDetections(
   constexpr size_t kFrameBytes = 4;       // The frame's U32 count.
   constexpr size_t kDetectionBytes = 29;  // U8 + 4 x I32 + F64 + I32.
   ByteCursor cursor(bytes);
-  uint32_t frame_count = cursor.U32();
-  if (frame_count > cursor.Remaining() / kFrameBytes) {
-    return Status::DataLoss("detection frame count exceeds the payload");
-  }
+  const uint32_t frame_count = cursor.Count(kFrameBytes);
+  if (!cursor.ok()) return Status::DataLoss("detection frame count exceeds the payload");
   std::vector<std::vector<Detection>> per_frame;
   per_frame.reserve(frame_count);
   for (uint32_t f = 0; f < frame_count; ++f) {
-    uint32_t count = cursor.U32();
-    if (count > cursor.Remaining() / kDetectionBytes) {
-      return Status::DataLoss("detection count exceeds the payload");
-    }
+    const uint32_t count = cursor.Count(kDetectionBytes);
+    if (!cursor.ok()) return Status::DataLoss("detection count exceeds the payload");
     std::vector<Detection> detections;
     detections.reserve(count);
     for (uint32_t i = 0; i < count && cursor.ok(); ++i) {

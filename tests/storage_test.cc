@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 
 #include "common/random.h"
+#include "common/serialize.h"
 #include "driver/dataset_io.h"
 #include "driver/datasets.h"
 #include "storage/sharded_store.h"
@@ -158,6 +160,31 @@ TEST_F(ShardedStoreTest, ManifestPersistsAcrossReopen) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, payload);
   EXPECT_EQ(reopened->List(), std::vector<std::string>{"persist"});
+}
+
+TEST_F(ShardedStoreTest, ReplicaCountBeyondManifestIsDataLoss) {
+  // A 53-byte manifest: one file "x" with one block claiming 2^32-1
+  // replicas, which the remaining zero bytes cannot hold.
+  ByteWriter writer;
+  writer.U32(0x5652534D);  // "VRSM".
+  writer.U64(1);           // Next block id.
+  writer.U32(1);           // Files.
+  writer.Str("x");
+  writer.U64(0);  // File size.
+  writer.U32(1);  // Blocks.
+  writer.U64(0);  // Block id.
+  writer.U64(0);  // Block size.
+  writer.U32(0xFFFFFFFFu);
+  ASSERT_EQ(writer.bytes().size(), 53u);
+  fs::create_directories(root_);
+  {
+    std::ofstream manifest(root_ + "/manifest.vrsm", std::ios::binary);
+    manifest.write(reinterpret_cast<const char*>(writer.bytes().data()),
+                   static_cast<std::streamsize>(writer.bytes().size()));
+  }
+  auto store = ShardedStore::Open(Options());
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(ShardedStoreTest, RejectsBadOptions) {

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/serialize.h"
 #include "driver/dataset_io.h"
 #include "driver/datasets.h"
 #include "storage/vss_policy.h"
@@ -214,6 +215,48 @@ TEST_F(VssTest, CatalogAndVariantsSurviveReopen) {
   ASSERT_TRUE(reopened->ReadVideo("cam", tier).ok());
   EXPECT_EQ(reopened->stats().transcodes, 0);
   EXPECT_EQ(reopened->stats().variant_hits, 1);
+}
+
+/// The start of a catalog of one video "x" whose variant count follows.
+ByteWriter CatalogOfOneVideo() {
+  ByteWriter writer;
+  writer.U32(0x53565256);  // "VRVS".
+  writer.U64(0);           // Use clock.
+  writer.U32(1);           // Videos.
+  writer.Str("x");
+  writer.U8(0);   // Profile.
+  writer.F64(15);  // Fps.
+  writer.U32(0);  // Frames.
+  writer.U32(0);  // GOP length.
+  return writer;
+}
+
+TEST_F(VssTest, VariantCountBeyondCatalogIsDataLoss) {
+  ByteWriter writer = CatalogOfOneVideo();
+  writer.U32(0xFFFFFFFFu);  // Variants.
+  ASSERT_EQ(writer.bytes().size(), 42u);
+  ASSERT_TRUE(store_->Put("vss/catalog.vrvc", writer.bytes()).ok());
+  auto service = VideoStorageService::Open(Options());
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(VssTest, SegmentCountBeyondCatalogIsDataLoss) {
+  ByteWriter writer = CatalogOfOneVideo();
+  writer.U32(1);  // Variants.
+  writer.I32(64);  // Width.
+  writer.I32(36);  // Height.
+  writer.I32(20);  // QP.
+  writer.U8(1);    // Base.
+  writer.U64(0);   // Bytes.
+  writer.U64(0);   // Last use.
+  writer.U64(0);   // Hits.
+  writer.U32(0xFFFFFFFFu);  // Segments.
+  ASSERT_EQ(writer.bytes().size(), 83u);
+  ASSERT_TRUE(store_->Put("vss/catalog.vrvc", writer.bytes()).ok());
+  auto service = VideoStorageService::Open(Options());
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(VssTest, SingleFlightCoalescesConcurrentTranscodes) {
