@@ -66,8 +66,8 @@ void AddThreeTapRow(const float* w, const float* in, float* out, int width) {
 Tensor Conv2d::Forward(const Tensor& input) const {
   const int pad = kernel_ / 2;
   const int in_h = input.height(), in_w = input.width();
-  const int out_h = (in_h + 2 * pad - kernel_) / stride_ + 1;
-  const int out_w = (in_w + 2 * pad - kernel_) / stride_ + 1;
+  const int out_h = OutputSize(in_h);
+  const int out_w = OutputSize(in_w);
   Tensor output(out_channels_, out_h, out_w);
   if (output.size() == 0) return output;
   const bool three_tap = kernel_ == 3 && stride_ == 1 && out_w >= 2;
@@ -107,9 +107,8 @@ Tensor Conv2d::Forward(const Tensor& input) const {
 }
 
 int64_t Conv2d::MacsFor(int height, int width) const {
-  int out_h = height / stride_, out_w = width / stride_;
   return static_cast<int64_t>(out_channels_) * in_channels_ * kernel_ * kernel_ *
-         out_h * out_w;
+         OutputSize(height) * OutputSize(width);
 }
 
 Tensor MaxPool2x2(const Tensor& input) {

@@ -35,10 +35,14 @@ class Conv2d {
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
   /// Multiply-accumulate operations per forward pass of an input of the
-  /// given spatial size — used for FLOP accounting in benches.
+  /// given spatial size (a full kernel per output) — used for FLOP
+  /// accounting in benches.
   int64_t MacsFor(int height, int width) const;
 
  private:
+  /// Outputs along one axis of `in` inputs, zero-padded by kernel / 2.
+  int OutputSize(int in) const { return (in + 2 * (kernel_ / 2) - kernel_) / stride_ + 1; }
+
   int in_channels_;
   int out_channels_;
   int kernel_;

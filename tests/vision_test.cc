@@ -157,6 +157,19 @@ TEST(ConvTest, ForwardDigestsArePinned) {
 TEST(ConvTest, MacsAccounting) {
   Conv2d conv(3, 8, 3, 1, 1);
   EXPECT_EQ(conv.MacsFor(10, 10), static_cast<int64_t>(8) * 3 * 9 * 100);
+  // Strided layers count the outputs Forward makes: 7x7 at stride 2 gives
+  // 4x4, and 7x5 at stride 3 gives 3x2.
+  Conv2d stride2(3, 8, 3, 2, 1);
+  Tensor input(3, 7, 7);
+  Tensor output = stride2.Forward(input);
+  ASSERT_EQ(output.height(), 4);
+  ASSERT_EQ(output.width(), 4);
+  EXPECT_EQ(stride2.MacsFor(7, 7), static_cast<int64_t>(8) * 3 * 9 * 16);
+  Conv2d stride3(3, 8, 3, 3, 1);
+  output = stride3.Forward(Tensor(3, 7, 5));
+  ASSERT_EQ(output.height(), 3);
+  ASSERT_EQ(output.width(), 2);
+  EXPECT_EQ(stride3.MacsFor(7, 5), static_cast<int64_t>(8) * 3 * 9 * 6);
 }
 
 TEST(ConvnetTest, MaxPoolTakesMaxima) {
