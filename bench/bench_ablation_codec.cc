@@ -360,7 +360,6 @@ int RunGopCacheSection() {
   for (const Row& row : rows) {
     GopCacheOptions options;
     options.capacity_bytes = row.gops * gop_bytes;
-    options.shards = 1;
     // Each rep runs against a fresh cache so hit/eviction stats are
     // deterministic; the first (warm-up) rep is untimed, then the median of
     // the timed reps is reported with the last rep's stats.

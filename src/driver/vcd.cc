@@ -74,7 +74,6 @@ Status VisualCityDriver::EnsureCluster(systems::Vdbms& engine) {
   coordinator_options.setup.codec = options_.dataset_codec;
   coordinator_options.setup.engine = engine.name();
   coordinator_options.setup.engine_options = options_.worker_engine_options;
-  coordinator_options.setup.engine_options.workers = options_.workers;
   coordinator_options.setup.detector = options_.detector;
   coordinator_options.dataset = dataset_;
   if (options_.storage != nullptr) {

@@ -142,37 +142,43 @@ StatusOr<Video> TrackingQuery(const ReferenceContext& context,
     return Status::InvalidArgument("tracking query needs a dataset context");
   }
   vision::MiniYolo detector(context.detector_options);
-  vision::PlateRecognizer recognizer(context.plate_match_threshold);
+  std::vector<const sim::VideoAsset*> traffic = context.dataset->TrafficAssets();
+  std::vector<Video> videos(traffic.size());
+  std::vector<std::vector<std::vector<vision::Detection>>> detections(traffic.size());
+  static const sim::FrameGroundTruth kEmptyTruth;
+  for (size_t a = 0; a < traffic.size(); ++a) {
+    VR_ASSIGN_OR_RETURN(videos[a], video::codec::Decode(traffic[a]->container.video));
+    const std::vector<sim::FrameGroundTruth>& truth = traffic[a]->ground_truth;
+    for (int f = 0; f < videos[a].FrameCount(); ++f) {
+      const size_t i = static_cast<size_t>(f);
+      detections[a].push_back(
+          detector.Detect(videos[a].frames[i], i < truth.size() ? truth[i] : kEmptyTruth, f));
+    }
+  }
+  return TrackPlate(videos, detections, plate, context.dataset->config.fps, segments_out);
+}
 
+Video TrackPlate(
+    const std::vector<Video>& videos,
+    const std::vector<std::vector<std::vector<vision::Detection>>>& detections,
+    const std::string& plate, double fps, std::vector<TrackingSegment>* segments_out) {
+  const vision::PlateRecognizer recognizer;
   struct Sighting {
     TrackingSegment segment;
     double entry_seconds;
   };
   std::vector<Sighting> sightings;
-  std::vector<const sim::VideoAsset*> traffic = context.dataset->TrafficAssets();
-  std::vector<Video> decoded(traffic.size());
-
-  for (size_t a = 0; a < traffic.size(); ++a) {
-    VR_ASSIGN_OR_RETURN(decoded[a], video::codec::Decode(traffic[a]->container.video));
-    const Video& vid = decoded[a];
-
+  for (size_t a = 0; a < videos.size(); ++a) {
+    const Video& vid = videos[a];
     int run_start = -1;
     for (int f = 0; f < vid.FrameCount(); ++f) {
-      // Recognition function L: detector proposes vehicle regions; the ALPR
-      // matched filter searches each for the queried plate.
-      static const sim::FrameGroundTruth kEmptyTruth;
-      const sim::FrameGroundTruth& gt =
-          static_cast<size_t>(f) < traffic[a]->ground_truth.size()
-              ? traffic[a]->ground_truth[static_cast<size_t>(f)]
-              : kEmptyTruth;
-      std::vector<vision::Detection> detections =
-          detector.Detect(vid.frames[static_cast<size_t>(f)], gt, f);
+      // Recognition function L: the detector proposed vehicle regions; the
+      // ALPR matched filter searches each for the queried plate.
+      const video::Frame& frame = vid.frames[static_cast<size_t>(f)];
       bool found = false;
-      for (const vision::Detection& det : detections) {
-        if (det.object_class != sim::ObjectClass::kVehicle) continue;
-        vision::PlateSearchResult match = recognizer.FindPlate(
-            vid.frames[static_cast<size_t>(f)], det.box, plate);
-        if (match.found) {
+      for (const vision::Detection& det : detections[a][static_cast<size_t>(f)]) {
+        if (det.object_class == sim::ObjectClass::kVehicle &&
+            recognizer.FindPlate(frame, det.box, plate).found) {
           found = true;
           break;
         }
@@ -197,9 +203,9 @@ StatusOr<Video> TrackingQuery(const ReferenceContext& context,
             });
 
   Video out;
-  out.fps = context.dataset->config.fps;
+  out.fps = fps;
   for (const Sighting& sighting : sightings) {
-    const Video& vid = decoded[static_cast<size_t>(sighting.segment.asset_index)];
+    const Video& vid = videos[static_cast<size_t>(sighting.segment.asset_index)];
     for (int f = sighting.segment.first_frame; f <= sighting.segment.last_frame; ++f) {
       out.frames.push_back(vid.frames[static_cast<size_t>(f)]);
     }
@@ -208,50 +214,41 @@ StatusOr<Video> TrackingQuery(const ReferenceContext& context,
   return out;
 }
 
-StatusOr<std::array<Video, 4>> DecodePanoFaces(const sim::Dataset& dataset,
-                                               int pano_group,
-                                               std::array<sim::Camera, 4>* cameras_out,
-                                               double* forward_yaw_out) {
-  std::vector<const sim::VideoAsset*> faces = dataset.PanoramicGroup(pano_group);
-  for (const sim::VideoAsset* face : faces) {
-    if (face == nullptr) {
+StatusOr<RigFaces> PanoramicFaces(const sim::Dataset& dataset, int pano_group) {
+  std::vector<const sim::VideoAsset*> group = dataset.PanoramicGroup(pano_group);
+  RigFaces faces;
+  for (size_t f = 0; f < faces.size(); ++f) {
+    if (group[f] == nullptr) {
       return Status::NotFound("panoramic group is missing a face video");
     }
+    faces[f] = group[f];
   }
-  std::array<Video, 4> decoded;
-  for (int f = 0; f < 4; ++f) {
-    VR_ASSIGN_OR_RETURN(
-        decoded[static_cast<size_t>(f)],
-        video::codec::Decode(faces[static_cast<size_t>(f)]->container.video));
-  }
-  if (cameras_out != nullptr) {
-    for (int f = 0; f < 4; ++f) {
-      (*cameras_out)[static_cast<size_t>(f)] =
-          faces[static_cast<size_t>(f)]->camera.MakeCamera(dataset.config.width,
-                                                           dataset.config.height);
-    }
-  }
-  if (forward_yaw_out != nullptr) {
-    *forward_yaw_out = faces[0]->camera.pose.yaw;
-  }
-  return decoded;
+  return faces;
 }
 
 StatusOr<Video> StitchQuery(const ReferenceContext& context, int pano_group) {
   if (context.dataset == nullptr) {
     return Status::InvalidArgument("stitch query needs a dataset context");
   }
+  VR_ASSIGN_OR_RETURN(RigFaces faces, PanoramicFaces(*context.dataset, pano_group));
+  std::array<Video, 4> decoded;
+  for (size_t f = 0; f < faces.size(); ++f) {
+    VR_ASSIGN_OR_RETURN(decoded[f], video::codec::Decode(faces[f]->container.video));
+  }
+  return StitchFaces(context.dataset->config, faces, decoded);
+}
+
+StatusOr<Video> StitchFaces(const sim::CityConfig& config, const RigFaces& faces,
+                            const std::array<Video, 4>& decoded) {
   std::array<sim::Camera, 4> cameras{
       sim::Camera({}, {}), sim::Camera({}, {}), sim::Camera({}, {}),
       sim::Camera({}, {})};
-  double forward_yaw = 0.0;
-  using FaceArray = std::array<Video, 4>;
-  VR_ASSIGN_OR_RETURN(FaceArray faces, DecodePanoFaces(*context.dataset, pano_group,
-                                                       &cameras, &forward_yaw));
+  for (size_t f = 0; f < faces.size(); ++f) {
+    cameras[f] = faces[f]->camera.MakeCamera(config.width, config.height);
+  }
   return vision::StitchEquirectVideo(
-      std::array<const Video*, 4>{&faces[0], &faces[1], &faces[2], &faces[3]},
-      cameras, PanoramaWidth(context.dataset->config),
-      PanoramaHeight(context.dataset->config), forward_yaw);
+      std::array<const Video*, 4>{&decoded[0], &decoded[1], &decoded[2], &decoded[3]},
+      cameras, PanoramaWidth(config), PanoramaHeight(config), faces[0]->camera.pose.yaw);
 }
 
 StatusOr<Video> TileStreamQuery(const Video& panorama,

@@ -1,6 +1,7 @@
 #ifndef VISUALROAD_QUERIES_REFERENCE_H_
 #define VISUALROAD_QUERIES_REFERENCE_H_
 
+#include <array>
 #include <vector>
 
 #include "queries/params.h"
@@ -17,11 +18,10 @@ inline int PanoramaWidth(const sim::CityConfig& config) { return config.width * 
 inline int PanoramaHeight(const sim::CityConfig& config) { return config.width; }
 
 /// Shared context for the reference implementations: the dataset (for ground
-/// truth and panoramic groups) and the specified vision algorithms.
+/// truth and panoramic groups) and the specified detector.
 struct ReferenceContext {
   const sim::Dataset* dataset = nullptr;
   vision::DetectorOptions detector_options;
-  double plate_match_threshold = 0.80;
 };
 
 /// Result of a reference query execution. Video-producing queries fill
@@ -85,16 +85,36 @@ struct TrackingSegment {
   int last_frame = 0;    // Inclusive.
 };
 
-/// Q8: scans every traffic video for the plate with the recognition function
-/// (ALPR matched filter over detector-proposed vehicle regions), forms
-/// tracking segments, and concatenates them ordered by entry time. The
-/// segments found are returned through `segments_out` when non-null.
+/// Q8: decodes every traffic video, runs the detector on every frame, and
+/// hands both to TrackPlate. The segments found are returned through
+/// `segments_out` when non-null.
 StatusOr<video::Video> TrackingQuery(const ReferenceContext& context,
                                      const std::string& plate,
                                      std::vector<TrackingSegment>* segments_out);
 
-/// Q9: stitch one panoramic rig's four faces into an equirectangular video.
+/// Q8's recognition function and assembly over decoded traffic videos: the
+/// ALPR matched filter searches each vehicle detection of every frame for
+/// `plate`, each run of matching frames forms a tracking segment, and the
+/// segments' frames are concatenated in order of entry time at `fps`.
+/// `detections[a]` holds one list per frame of `videos[a]`, unfiltered by
+/// class.
+video::Video TrackPlate(
+    const std::vector<video::Video>& videos,
+    const std::vector<std::vector<std::vector<vision::Detection>>>& detections,
+    const std::string& plate, double fps, std::vector<TrackingSegment>* segments_out);
+
+/// The four face videos of panoramic rig `pano_group`, ordered by face;
+/// NotFound when the rig lacks one.
+using RigFaces = std::array<const sim::VideoAsset*, 4>;
+StatusOr<RigFaces> PanoramicFaces(const sim::Dataset& dataset, int pano_group);
+
+/// Q9: decodes one panoramic rig's four faces and stitches them.
 StatusOr<video::Video> StitchQuery(const ReferenceContext& context, int pano_group);
+
+/// Q9's stitch: projects a rig's decoded faces (in RigFaces order) through
+/// their cameras into an equirectangular video centred on the first face.
+StatusOr<video::Video> StitchFaces(const sim::CityConfig& config, const RigFaces& faces,
+                                   const std::array<video::Video, 4>& decoded);
 
 /// Q10: tile a 360-degree video at mixed bitrates and downsample to the
 /// client resolution.
@@ -102,12 +122,6 @@ StatusOr<video::Video> TileStreamQuery(const video::Video& panorama,
                                        const std::array<int64_t, 9>& bitrates,
                                        int client_width, int client_height,
                                        video::codec::Profile profile);
-
-/// Decodes the four face videos of a panoramic group and returns the face
-/// cameras (shared by Q9 implementations across engines).
-StatusOr<std::array<video::Video, 4>> DecodePanoFaces(
-    const sim::Dataset& dataset, int pano_group,
-    std::array<sim::Camera, 4>* cameras_out, double* forward_yaw_out);
 
 }  // namespace visualroad::queries
 

@@ -190,7 +190,6 @@ class SemanticCache {
   /// Drops every ready entry (in-flight computes complete uncached).
   void Clear();
 
-  void set_capacity_bytes(int64_t bytes);
   int64_t capacity_bytes() const;
 
   SemanticCacheStats stats() const;

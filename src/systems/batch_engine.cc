@@ -131,7 +131,7 @@ class BatchEngine : public QueryEngine {
     return Status::Ok();
   }
 
-  // vr:Q2(c),Q7:begin
+  // vr:Q2(c),Q7,Q8:begin
   /// The detector's input table is retained like any other stage's.
   StatusOr<Detections> Detect(const QueryInstance& instance,
                               const sim::VideoAsset& asset, const Video& input,
@@ -141,7 +141,7 @@ class BatchEngine : public QueryEngine {
     Retain(input);
     return detections;
   }
-  // vr:Q2(c),Q7:end
+  // vr:Q2(c),Q7,Q8:end
 
   // vr:Q2(d),Q7:begin
   /// Materialised window sums: the batch architecture's natural (and fast)

@@ -8,6 +8,7 @@
 #include "systems/query_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <filesystem>
 
@@ -63,16 +64,6 @@ metrics::Counter& EngineCounter(const char* name, const char* help,
       name, help, std::string("engine=\"") + label + "\"");
 }
 
-/// The GOP cache selected by `options`: the injected instance if any, else
-/// the process-wide one; applies `gop_cache_bytes` when positive.
-video::codec::GopCache& ResolveGopCache(const EngineOptions& options) {
-  video::codec::GopCache& cache = options.gop_cache != nullptr
-                                      ? *options.gop_cache
-                                      : video::codec::GopCache::Global();
-  if (options.gop_cache_bytes > 0) cache.set_capacity_bytes(options.gop_cache_bytes);
-  return cache;
-}
-
 }  // namespace
 
 QueryEngine::QueryEngine(const EngineOptions& options, const Traits& traits)
@@ -80,7 +71,8 @@ QueryEngine::QueryEngine(const EngineOptions& options, const Traits& traits)
       traits_(traits),
       detector_options_(WithInputSize(options.detector, traits.detector_input_size)),
       detector_(detector_options_),
-      gop_cache_(ResolveGopCache(options)),
+      gop_cache_(options.gop_cache != nullptr ? *options.gop_cache
+                                              : video::codec::GopCache::Global()),
       model_fingerprint_(
           queries::ModelFingerprint(detector_options_, traits.model_variant)),
       semantic_cache_(options.semantic_cache),
@@ -313,10 +305,9 @@ Status QueryEngine::Finish(const Video& result, const QueryInstance& instance,
   return Status::Ok();
 }
 
-StatusOr<queries::ReferenceResult> QueryEngine::Boxes(const QueryInstance& instance,
-                                                      const sim::VideoAsset& asset,
-                                                      const Video* decoded,
-                                                      Call& call) {
+StatusOr<QueryEngine::Detections> QueryEngine::CachedDetect(
+    const QueryInstance& instance, const sim::VideoAsset& asset, const Video* decoded,
+    Call& call) {
   VR_ASSIGN_OR_RETURN(std::shared_ptr<const video::codec::EncodedVideo> encoded,
                       ResolveInput(asset));
   auto compute = [&]() -> StatusOr<Detections> {
@@ -324,38 +315,55 @@ StatusOr<queries::ReferenceResult> QueryEngine::Boxes(const QueryInstance& insta
     VR_ASSIGN_OR_RETURN(Video input, Decode(*encoded, call));
     return Detect(instance, asset, input, call);
   };
-  Detections detections;
-  if (semantic_cache_ == nullptr) {
-    VR_ASSIGN_OR_RETURN(detections, compute());
-  } else {
-    // With a warm cache nothing is decoded and the detector never runs.
-    const queries::SemanticKey key =
-        SemanticKeyFor(video::codec::StreamIdentity(*encoded));
-    const queries::FrameRange range{0, encoded->FrameCount()};
-    queries::SemanticCache::Outcome outcome;
-    VR_ASSIGN_OR_RETURN(
-        std::shared_ptr<const queries::SemanticEntry> entry,
-        semantic_cache_->GetOrCompute(
-            key, range,
-            [&]() -> StatusOr<queries::SemanticEntry> {
-              queries::SemanticEntry fresh;
-              fresh.key = key;
-              fresh.range = range;
-              fresh.width = encoded->width;
-              fresh.height = encoded->height;
-              fresh.fps = encoded->fps;
-              VR_ASSIGN_OR_RETURN(fresh.detections, compute());
-              fresh.RecomputeBytes();
-              return fresh;
-            },
-            &outcome));
-    if (outcome == queries::SemanticCache::Outcome::kHit) ++call.counted.cache_hits;
-    detections = queries::SemanticCache::Slice(*entry, range);
-  }
-  return queries::RenderBoxesFromDetections(encoded->width, encoded->height,
-                                            encoded->fps, detections,
-                                            instance.object_class);
+  if (semantic_cache_ == nullptr) return compute();
+  // With a warm cache nothing is decoded and the detector never runs.
+  const queries::SemanticKey key = SemanticKeyFor(video::codec::StreamIdentity(*encoded));
+  const queries::FrameRange range{0, encoded->FrameCount()};
+  queries::SemanticCache::Outcome outcome;
+  VR_ASSIGN_OR_RETURN(std::shared_ptr<const queries::SemanticEntry> entry,
+                      semantic_cache_->GetOrCompute(
+                          key, range,
+                          [&]() -> StatusOr<queries::SemanticEntry> {
+                            queries::SemanticEntry fresh;
+                            fresh.key = key;
+                            fresh.range = range;
+                            fresh.width = encoded->width;
+                            fresh.height = encoded->height;
+                            fresh.fps = encoded->fps;
+                            VR_ASSIGN_OR_RETURN(fresh.detections, compute());
+                            fresh.RecomputeBytes();
+                            return fresh;
+                          },
+                          &outcome));
+  if (outcome == queries::SemanticCache::Outcome::kHit) ++call.counted.cache_hits;
+  return queries::SemanticCache::Slice(*entry, range);
 }
+
+StatusOr<queries::ReferenceResult> QueryEngine::Boxes(const QueryInstance& instance,
+                                                      const sim::VideoAsset& asset,
+                                                      const Video* decoded,
+                                                      Call& call) {
+  VR_ASSIGN_OR_RETURN(Detections detections,
+                      CachedDetect(instance, asset, decoded, call));
+  // The resolved input is byte-identical to the in-memory container, so the
+  // container's geometry is the stream's.
+  const video::codec::EncodedVideo& meta = asset.container.video;
+  return queries::RenderBoxesFromDetections(meta.width, meta.height, meta.fps,
+                                            detections, instance.object_class);
+}
+
+// vr:Q9,Q10:begin
+StatusOr<Video> QueryEngine::Panorama(const sim::Dataset& dataset, int pano_group,
+                                      Call& call) {
+  VR_ASSIGN_OR_RETURN(queries::RigFaces faces,
+                      queries::PanoramicFaces(dataset, pano_group));
+  std::array<Video, 4> decoded;
+  for (size_t f = 0; f < faces.size(); ++f) {
+    VR_ASSIGN_OR_RETURN(decoded[f], Acquire(*faces[f], call));
+  }
+  return queries::StitchFaces(dataset.config, faces, decoded);
+}
+// vr:Q9,Q10:end
 
 // --- The query bodies ---
 
@@ -368,10 +376,6 @@ StatusOr<QueryOutput> QueryEngine::Run(const QueryInstance& instance,
   if (instance.id < QueryId::kQ8) {  // Q8-Q10 read more than one stream.
     VR_ASSIGN_OR_RETURN(asset, detail::InputAsset(instance, dataset));
   }
-  queries::ReferenceContext context;
-  context.dataset = &dataset;
-  context.detector_options = detector_options_;
-  context.plate_match_threshold = options_.plate_match_threshold;
 
   switch (instance.id) {
     case QueryId::kQ1: {
@@ -498,28 +502,31 @@ StatusOr<QueryOutput> QueryEngine::Run(const QueryInstance& instance,
     }
     case QueryId::kQ8: {
       // vr:Q8:begin
-      // Decodes every traffic stream and runs the detector on every frame.
-      VR_ASSIGN_OR_RETURN(result,
-                          queries::TrackingQuery(context, instance.q8_plate, nullptr));
-      const int64_t scanned = detail::InputFrameCount(instance, dataset);
-      call.counted.frames_decoded += scanned;
-      call.counted.cnn_frames_full += scanned;
+      // The plate search reads pixels, so every traffic stream is decoded; a
+      // semantic cache warmed by Q2(c) over the same streams skips the detector.
+      std::vector<const sim::VideoAsset*> traffic = dataset.TrafficAssets();
+      std::vector<Video> streams(traffic.size());
+      std::vector<Detections> detections(traffic.size());
+      for (size_t a = 0; a < traffic.size(); ++a) {
+        VR_ASSIGN_OR_RETURN(streams[a], Acquire(*traffic[a], call));
+        VR_ASSIGN_OR_RETURN(detections[a],
+                            CachedDetect(instance, *traffic[a], &streams[a], call));
+      }
+      result = queries::TrackPlate(streams, detections, instance.q8_plate,
+                                   dataset.config.fps, nullptr);
       // vr:Q8:end
       break;
     }
     case QueryId::kQ9: {
       // vr:Q9:begin
-      VR_ASSIGN_OR_RETURN(result, queries::StitchQuery(context, instance.pano_group));
-      call.counted.frames_decoded += detail::InputFrameCount(instance, dataset);
+      VR_ASSIGN_OR_RETURN(result, Panorama(dataset, instance.pano_group, call));
       VR_RETURN_IF_ERROR(Spill(result, call));
       // vr:Q9:end
       break;
     }
     case QueryId::kQ10: {
       // vr:Q10:begin
-      VR_ASSIGN_OR_RETURN(Video stitched,
-                          queries::StitchQuery(context, instance.pano_group));
-      call.counted.frames_decoded += detail::InputFrameCount(instance, dataset);
+      VR_ASSIGN_OR_RETURN(Video stitched, Panorama(dataset, instance.pano_group, call));
       VR_ASSIGN_OR_RETURN(result, queries::TileStreamQuery(
                                       stitched, instance.q10_bitrates,
                                       instance.q10_client_width,

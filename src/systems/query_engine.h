@@ -148,12 +148,20 @@ class QueryEngine : public Vdbms {
   Status Finish(const video::Video& result, const queries::QueryInstance& instance,
                 OutputMode mode, const std::string& output_dir, QueryOutput& output,
                 Call& call);
-  /// The class-filtered box video of `asset`'s detections, read from the
-  /// semantic cache when it holds them and computed (from `decoded` when
-  /// the caller already holds the frames) otherwise.
+  /// `asset`'s per-frame detections, unfiltered by object class: read from
+  /// the semantic cache when it holds them, else computed by Detect (from
+  /// `decoded` when the caller already holds the frames). Q2(c), Q7 and Q8
+  /// share this step, so each fills the cache for the others.
+  StatusOr<Detections> CachedDetect(const queries::QueryInstance& instance,
+                                    const sim::VideoAsset& asset,
+                                    const video::Video* decoded, Call& call);
+  /// The class-filtered box video of `asset`'s CachedDetect detections.
   StatusOr<queries::ReferenceResult> Boxes(const queries::QueryInstance& instance,
                                            const sim::VideoAsset& asset,
                                            const video::Video* decoded, Call& call);
+  /// Q9/Q10's panorama: each face of rig `pano_group` acquired, then stitched.
+  StatusOr<video::Video> Panorama(const sim::Dataset& dataset, int pano_group,
+                                  Call& call);
   queries::SemanticKey SemanticKeyFor(uint64_t stream) const;
 
   const std::string model_fingerprint_;

@@ -54,13 +54,9 @@ struct EngineOptions {
   /// Threads for GOP-parallel output encoding (and validation decodes).
   /// 0 means the codec pool default (hardware concurrency).
   int codec_threads = 0;
-  /// Byte budget applied to the decoded-GOP cache at engine construction;
-  /// 0 leaves the cache's current capacity untouched.
-  int64_t gop_cache_bytes = 0;
   /// Decoded-GOP cache the engine routes decodes through. Null selects the
   /// process-wide GopCache::Global(); tests inject private instances.
   video::codec::GopCache* gop_cache = nullptr;
-  double plate_match_threshold = 0.80;
   /// Storage-backed offline mode: when set, engines read input bitstreams
   /// (whole or as GOP-aligned frame ranges) from the storage service
   /// instead of the dataset's in-memory containers. The base tier returns
@@ -75,11 +71,6 @@ struct EngineOptions {
   /// which is what enables cross-tenant reuse. Tests inject private
   /// instances.
   queries::SemanticCache* semantic_cache = nullptr;
-  /// Distributed scale-out fan-out (DESIGN.md Section 15): the number of
-  /// worker processes the driver's coordinator shards batches across. 0 =
-  /// single-process execution. Engines ignore it — it rides here so a
-  /// worker's reconstructed EngineOptions mirror the coordinator's exactly.
-  int workers = 0;
 };
 
 /// The outcome of one query instance.

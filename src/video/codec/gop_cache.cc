@@ -84,7 +84,7 @@ int64_t DecodedFrameBytes(int width, int height) {
 
 }  // namespace
 
-struct GopCache::Shard {
+struct GopCache::State {
   struct Entry {
     std::shared_ptr<const DecodedGop> value;  // Null while the decode is in flight.
     bool decoding = false;
@@ -100,11 +100,8 @@ struct GopCache::Shard {
 };
 
 GopCache::GopCache(const GopCacheOptions& options)
-    : capacity_bytes_(std::max<int64_t>(options.capacity_bytes, 0)) {
-  int shards = std::max(options.shards, 1);
-  shards_.reserve(shards);
-  for (int i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
-}
+    : capacity_bytes_(std::max<int64_t>(options.capacity_bytes, 0)),
+      state_(std::make_unique<State>()) {}
 
 // Clearing takes this cache's share out of the process-wide gauges, which
 // sum over every live cache.
@@ -116,25 +113,19 @@ GopCache& GopCache::Global() {
   return *cache;
 }
 
-GopCache::Shard& GopCache::ShardFor(uint64_t identity, int start) const {
-  size_t index = KeyHash{}(Key{identity, start}) % shards_.size();
-  return *shards_[index];
-}
-
-void GopCache::EvictLocked(Shard& shard) {
-  int64_t budget =
-      std::max<int64_t>(capacity_bytes_.load() / static_cast<int64_t>(shards_.size()), 1);
-  while (shard.bytes > budget && !shard.lru.empty()) {
-    Key victim = shard.lru.front();
-    shard.lru.pop_front();
-    auto it = shard.entries.find(victim);
-    if (it != shard.entries.end() && it->second.value != nullptr) {
-      shard.bytes -= it->second.value->bytes;
+void GopCache::EvictLocked() {
+  State& state = *state_;
+  while (state.bytes > capacity_bytes_ && !state.lru.empty()) {
+    Key victim = state.lru.front();
+    state.lru.pop_front();
+    auto it = state.entries.find(victim);
+    if (it != state.entries.end() && it->second.value != nullptr) {
+      state.bytes -= it->second.value->bytes;
       CacheMetrics::Get().bytes_in_use.Add(
           -static_cast<double>(it->second.value->bytes));
       CacheMetrics::Get().entries.Add(-1.0);
-      shard.entries.erase(it);
-      ++shard.stats.evictions;
+      state.entries.erase(it);
+      ++state.stats.evictions;
       CacheMetrics::Get().evictions.Increment();
     }
   }
@@ -144,40 +135,40 @@ StatusOr<std::shared_ptr<const DecodedGop>> GopCache::Get(
     const EncodedVideo& encoded, uint64_t identity, int start, int count,
     Outcome* outcome) {
   Key key{identity, start};
-  Shard& shard = ShardFor(identity, start);
+  State& state = *state_;
 
   bool waited = false;
   {
-    std::unique_lock<std::mutex> lock(shard.mutex);
+    std::unique_lock<std::mutex> lock(state.mutex);
     for (;;) {
-      auto it = shard.entries.find(key);
-      if (it == shard.entries.end()) break;  // Cold (or a leader failed): lead.
+      auto it = state.entries.find(key);
+      if (it == state.entries.end()) break;  // Cold (or a leader failed): lead.
       if (!it->second.decoding) {
         // Ready: refresh recency and share the entry.
-        shard.lru.splice(shard.lru.end(), shard.lru, it->second.lru_position);
+        state.lru.splice(state.lru.end(), state.lru, it->second.lru_position);
         if (waited) {
-          ++shard.stats.coalesced;
+          ++state.stats.coalesced;
           CacheMetrics::Get().coalesced.Increment();
           if (outcome) *outcome = Outcome::kCoalesced;
         } else {
-          ++shard.stats.hits;
+          ++state.stats.hits;
           CacheMetrics::Get().hits.Increment();
           if (outcome) *outcome = Outcome::kHit;
         }
         return it->second.value;
       }
       waited = true;
-      shard.ready.wait(lock);
+      state.ready.wait(lock);
     }
     // Single-flight leader: publish the in-flight marker before decoding.
-    shard.entries[key].decoding = true;
-    ++shard.stats.misses;
+    state.entries[key].decoding = true;
+    ++state.stats.misses;
     CacheMetrics::Get().misses.Increment();
     if (outcome) *outcome = Outcome::kMiss;
   }
 
-  // Decode outside the lock; other keys (and other shards) proceed freely.
-  // Serial decode: the GOP itself is the unit of parallelism here.
+  // Decode outside the lock; other keys proceed freely. Serial decode: the
+  // GOP itself is the unit of parallelism here.
   Stopwatch decode_watch;
   StatusOr<Video> decoded = [&] {
     TRACE_SPAN("gop_decode");
@@ -185,10 +176,10 @@ StatusOr<std::shared_ptr<const DecodedGop>> GopCache::Get(
   }();
   CacheMetrics::Get().decode_seconds.Observe(decode_watch.ElapsedSeconds());
 
-  std::unique_lock<std::mutex> lock(shard.mutex);
+  std::unique_lock<std::mutex> lock(state.mutex);
   if (!decoded.ok()) {
-    shard.entries.erase(key);
-    shard.ready.notify_all();
+    state.entries.erase(key);
+    state.ready.notify_all();
     return decoded.status();
   }
 
@@ -198,62 +189,47 @@ StatusOr<std::shared_ptr<const DecodedGop>> GopCache::Get(
   gop->bytes = DecodedFrameBytes(encoded.width, encoded.height) *
                static_cast<int64_t>(gop->frames.size());
 
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
+  auto it = state.entries.find(key);
+  if (it == state.entries.end()) {
     // Clear() ran mid-decode; hand the result to the caller uncached.
-    shard.ready.notify_all();
+    state.ready.notify_all();
     return std::shared_ptr<const DecodedGop>(gop);
   }
   it->second.decoding = false;
   it->second.value = gop;
-  it->second.lru_position = shard.lru.insert(shard.lru.end(), key);
-  shard.bytes += gop->bytes;
+  it->second.lru_position = state.lru.insert(state.lru.end(), key);
+  state.bytes += gop->bytes;
   CacheMetrics::Get().bytes_in_use.Add(static_cast<double>(gop->bytes));
   CacheMetrics::Get().entries.Add(1.0);
-  EvictLocked(shard);
-  shard.ready.notify_all();
+  EvictLocked();
+  state.ready.notify_all();
   return std::shared_ptr<const DecodedGop>(gop);
 }
 
 void GopCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    // In-flight decodes stay: their leaders complete (uncached if the entry
-    // vanished). Only ready entries are dropped.
-    for (auto it = shard->entries.begin(); it != shard->entries.end();) {
-      if (it->second.decoding) {
-        ++it;
-      } else {
-        shard->lru.erase(it->second.lru_position);
-        shard->bytes -= it->second.value->bytes;
-        CacheMetrics::Get().bytes_in_use.Add(
-            -static_cast<double>(it->second.value->bytes));
-        CacheMetrics::Get().entries.Add(-1.0);
-        it = shard->entries.erase(it);
-      }
+  State& state = *state_;
+  std::lock_guard<std::mutex> lock(state.mutex);
+  // In-flight decodes stay: their leaders complete (uncached if the entry
+  // vanished). Only ready entries are dropped.
+  for (auto it = state.entries.begin(); it != state.entries.end();) {
+    if (it->second.decoding) {
+      ++it;
+    } else {
+      state.lru.erase(it->second.lru_position);
+      state.bytes -= it->second.value->bytes;
+      CacheMetrics::Get().bytes_in_use.Add(
+          -static_cast<double>(it->second.value->bytes));
+      CacheMetrics::Get().entries.Add(-1.0);
+      it = state.entries.erase(it);
     }
   }
 }
 
-void GopCache::set_capacity_bytes(int64_t bytes) {
-  capacity_bytes_.store(std::max<int64_t>(bytes, 0));
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    EvictLocked(*shard);
-  }
-}
-
 GopCacheStats GopCache::stats() const {
-  GopCacheStats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total.hits += shard->stats.hits;
-    total.misses += shard->stats.misses;
-    total.coalesced += shard->stats.coalesced;
-    total.evictions += shard->stats.evictions;
-    total.bytes_in_use += shard->bytes;
-    total.entries += static_cast<int64_t>(shard->entries.size());
-  }
+  std::lock_guard<std::mutex> lock(state_->mutex);
+  GopCacheStats total = state_->stats;
+  total.bytes_in_use = state_->bytes;
+  total.entries = static_cast<int64_t>(state_->entries.size());
   return total;
 }
 

@@ -20,7 +20,7 @@ struct DecodedGop {
   int64_t bytes = 0;  // Decoded payload size, for the cache budget.
 };
 
-/// Cumulative counters across all shards.
+/// Cumulative counters of one cache.
 struct GopCacheStats {
   int64_t hits = 0;        // Entry was ready on arrival.
   int64_t misses = 0;      // Caller decoded the GOP (single-flight leader).
@@ -31,18 +31,15 @@ struct GopCacheStats {
 };
 
 struct GopCacheOptions {
-  /// Total decoded-frame budget across shards.
+  /// Decoded-frame budget of the whole cache.
   int64_t capacity_bytes = int64_t{256} << 20;
-  /// Lock striping width. 1 gives a single global LRU order (deterministic
-  /// eviction, used by tests); the default spreads contention.
-  int shards = 8;
 };
 
-/// Sharded, mutex-per-shard LRU of decoded GOPs keyed by (stream identity,
-/// GOP start frame), with byte-size budgeting and single-flight decode:
-/// concurrent requesters of the same cold GOP block on the one in-flight
-/// decode instead of repeating it. Thread-safe; entries are immutable once
-/// published.
+/// LRU of decoded GOPs keyed by (stream identity, GOP start frame), with one
+/// byte budget and single-flight decode: concurrent requesters of the same
+/// cold GOP block on the one in-flight decode instead of repeating it.
+/// Thread-safe (one mutex, held only for bookkeeping, never across a
+/// decode); entries are immutable once published.
 class GopCache {
  public:
   explicit GopCache(const GopCacheOptions& options = {});
@@ -68,21 +65,18 @@ class GopCache {
   /// Drops every ready entry (in-flight decodes complete uncached).
   void Clear();
 
-  /// Adjusts the byte budget; evicts immediately if over.
-  void set_capacity_bytes(int64_t bytes);
-  int64_t capacity_bytes() const { return capacity_bytes_.load(); }
+  int64_t capacity_bytes() const { return capacity_bytes_; }
 
   GopCacheStats stats() const;
 
  private:
-  struct Shard;
+  struct State;
 
-  Shard& ShardFor(uint64_t identity, int start) const;
-  /// Evicts LRU entries until `shard` fits its per-shard budget share.
-  void EvictLocked(Shard& shard);
+  /// Evicts LRU entries until the ready entries fit the byte budget.
+  void EvictLocked();
 
-  std::atomic<int64_t> capacity_bytes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const int64_t capacity_bytes_;
+  std::unique_ptr<State> state_;
 };
 
 /// Full-bitstream identity hash (dimensions, profile, every payload byte) for

@@ -177,7 +177,7 @@ PlateSearchResult PlateRecognizer::FindPlate(const video::Frame& frame,
       }
     }
   }
-  best.found = best.score >= match_threshold_;
+  best.found = best.score >= kPlateMatchThreshold;
   return best;
 }
 

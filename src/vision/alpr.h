@@ -16,6 +16,9 @@ struct PlateSearchResult {
   RectI box;           // Best-matching window.
 };
 
+/// The normalised correlation at which FindPlate counts a plate as found.
+inline constexpr double kPlateMatchThreshold = 0.80;
+
 /// The OpenALPR substitute (see DESIGN.md): license plates are rasterised
 /// into the scene with the library's built-in glyph font, and this
 /// recogniser does genuine pixel-domain work against them.
@@ -29,23 +32,15 @@ struct PlateSearchResult {
 ///    per-cell glyph correlation.
 class PlateRecognizer {
  public:
-  explicit PlateRecognizer(double match_threshold = 0.80)
-      : match_threshold_(match_threshold) {}
-
   /// Searches `region` of `frame` for `plate`. The region is scanned at
-  /// several template scales; a normalised correlation above the threshold
-  /// counts as found.
+  /// several template scales; a normalised correlation of at least
+  /// kPlateMatchThreshold counts as found.
   PlateSearchResult FindPlate(const video::Frame& frame, const RectI& region,
                               const std::string& plate) const;
 
   /// Reads the six characters of the plate inside `plate_box`.
   StatusOr<std::string> ReadPlate(const video::Frame& frame,
                                   const RectI& plate_box) const;
-
-  double match_threshold() const { return match_threshold_; }
-
- private:
-  double match_threshold_;
 };
 
 /// Renders the canonical luma template for a plate string at the given size

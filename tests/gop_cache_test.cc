@@ -111,10 +111,9 @@ TEST(GopCacheTest, CachedDecodeRangeTrimsToWindow) {
 TEST(GopCacheTest, EvictsLeastRecentlyUsedFirst) {
   EncodedVideo encoded = EncodeOrDie(MakeVideo(32, 32, 12, 6), 4);
   uint64_t identity = StreamIdentity(encoded);
-  // One shard gives a single global LRU order; capacity fits exactly two
-  // decoded 4-frame GOPs of 32x32 YUV420 (1536 bytes per frame).
+  // Capacity fits exactly two decoded 4-frame GOPs of 32x32 YUV420 (1536
+  // bytes per frame).
   GopCacheOptions options;
-  options.shards = 1;
   options.capacity_bytes = 2 * 4 * 1536;
   GopCache cache(options);
 
@@ -168,16 +167,23 @@ TEST(GopCacheTest, DestroyedCacheLeavesTheResidentGauges) {
   EXPECT_EQ(entries.Value(), entries_before);
 }
 
-TEST(GopCacheTest, ShrinkingCapacityEvictsImmediately) {
-  EncodedVideo encoded = EncodeOrDie(MakeVideo(32, 32, 12, 8), 4);
+TEST(GopCacheTest, KeepsAGopAsLargeAsTheWholeBudget) {
+  // The budget is the whole cache's, not a share of it: a GOP that fits the
+  // capacity (here exactly) stays resident, and the second read hits.
+  EncodedVideo encoded = EncodeOrDie(MakeVideo(32, 32, 4, 8), 4);
+  uint64_t identity = StreamIdentity(encoded);
   GopCacheOptions options;
-  options.shards = 1;
+  options.capacity_bytes = 4 * 1536;
   GopCache cache(options);
-  ASSERT_TRUE(CachedDecode(encoded, cache).ok());
-  EXPECT_EQ(cache.stats().entries, 3);
-  cache.set_capacity_bytes(4 * 1536);  // Room for one GOP.
-  EXPECT_EQ(cache.stats().entries, 1);
-  EXPECT_EQ(cache.stats().evictions, 2);
+  GopCache::Outcome outcome;
+  ASSERT_TRUE(cache.Get(encoded, identity, 0, 4, &outcome).ok());
+  EXPECT_EQ(outcome, GopCache::Outcome::kMiss);
+  ASSERT_TRUE(cache.Get(encoded, identity, 0, 4, &outcome).ok());
+  EXPECT_EQ(outcome, GopCache::Outcome::kHit);
+  GopCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.entries, 1);
+  EXPECT_EQ(stats.bytes_in_use, cache.capacity_bytes());
 }
 
 TEST(GopCacheTest, SingleFlightCoalescesConcurrentDecodes) {
@@ -217,7 +223,6 @@ TEST(GopCacheTest, ConcurrentMixedWorkloadStaysConsistent) {
   }
   GopCacheOptions options;
   options.capacity_bytes = 3 * 4 * 1536;  // Fits ~3 GOPs; constant pressure.
-  options.shards = 2;
   GopCache cache(options);
 
   constexpr int kThreads = 8;
