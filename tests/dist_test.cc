@@ -732,17 +732,20 @@ TEST_F(CoordinatorTest, NegativeVideoIndexDispatchesWithoutCorruption) {
 }
 
 TEST_F(CoordinatorTest, StragglerRedispatchCompletesOnAnotherWorker) {
-  // A 1ms straggler deadline fires on effectively every chunk. The fled
-  // worker must not re-take its own chunk (the avoid tag), so every
+  // A 1ms straggler deadline fires on every chunk a worker runs cold. The
+  // fled worker must not re-take its own chunk (the avoid tag), so every
   // re-dispatch lands on the other worker — and the batch still completes
   // exactly once per instance because merge keeps the first result.
+  // Q2(c) runs the detector, so a cold chunk takes several milliseconds; a
+  // Q1 instance on this fixture executes in 0.6-0.9 ms and often beat the
+  // deadline, leaving nothing to re-dispatch.
   CoordinatorOptions options = BaseOptions(2);
   options.chunk_size = 1;
   options.call_timeout = milliseconds(1);
   Coordinator coordinator(options);
   ASSERT_TRUE(coordinator.Start().ok());
 
-  std::vector<queries::QueryInstance> batch = SampleBatch(queries::QueryId::kQ1, 3);
+  std::vector<queries::QueryInstance> batch = SampleBatch(queries::QueryId::kQ2c, 3);
   DistBatchStats stats;
   auto outcomes = coordinator.ExecuteBatch(batch, systems::OutputMode::kWrite,
                                            "", &stats);
