@@ -225,4 +225,17 @@ BENCHMARK(BM_CompactionSweep)
 }  // namespace
 }  // namespace visualroad::storage
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The JSON context's "library_build_type" describes the installed
+  // google-benchmark library, not this binary; record this binary's build.
+#ifdef NDEBUG
+  benchmark::AddCustomContext("visualroad_build_type", "optimized (NDEBUG)");
+#else
+  benchmark::AddCustomContext("visualroad_build_type", "debug (assertions on)");
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

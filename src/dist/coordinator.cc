@@ -19,6 +19,9 @@ namespace visualroad::dist {
 
 namespace {
 
+/// How long to wait for a freshly spawned worker's socket and handshake.
+constexpr std::chrono::milliseconds kConnectTimeout{10000};
+
 struct DistMetrics {
   metrics::Counter& workers_spawned;
   metrics::Counter& workers_lost;
@@ -152,9 +155,9 @@ StatusOr<std::unique_ptr<Coordinator::Slot>> Coordinator::MakeSlot(int index) {
   VR_ASSIGN_OR_RETURN(slot->process, WorkerProcess::Spawn(binary, path));
   VR_ASSIGN_OR_RETURN(
       RpcConnection connection,
-      RpcConnection::ConnectUnix(path, options_.connect_timeout));
+      RpcConnection::ConnectUnix(path, kConnectTimeout));
   slot->client = std::make_unique<RpcClient>(std::move(connection));
-  VR_RETURN_IF_ERROR(slot->client->Handshake(options_.connect_timeout));
+  VR_RETURN_IF_ERROR(slot->client->Handshake(kConnectTimeout));
   return slot;
 }
 
@@ -355,7 +358,7 @@ StatusOr<std::vector<DistInstanceOutcome>> Coordinator::ExecuteBatch(
   // batches, then pre-seed every live worker's semantic cache from the
   // coordinator-side cache. Both are single-threaded here (no dispatch
   // threads exist yet), so slot surgery needs no lock.
-  if (options_.heal_workers) HealFleet(&state.stats);
+  HealFleet(&state.stats);
   PreSeedCaches(&state.stats);
 
   {

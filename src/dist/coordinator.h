@@ -40,18 +40,11 @@ struct CoordinatorOptions {
   /// materialized locally — or in a previous fleet — warm the workers.
   /// Borrowed, optional; null disables pre-seeding.
   queries::SemanticCache* semantic_cache = nullptr;
-  /// Respawn workers lost in an earlier batch at the start of the next one,
-  /// warming each replacement's semantic cache from a surviving donor
-  /// (kCacheExport -> kCacheImport). Best-effort: a failed respawn leaves
-  /// the slot lost.
-  bool heal_workers = true;
   /// Optional fault source driving the rpc_send / worker_crash sites.
   /// Borrowed; must outlive the coordinator.
   fault::FaultInjector* faults = nullptr;
   /// Retry budget for RPC dispatch (the rpc_send site).
   fault::RetryOptions rpc_retry;
-  /// How long to wait for a freshly spawned worker's socket and handshake.
-  std::chrono::milliseconds connect_timeout{10000};
   /// Straggler detector: per-call response deadline, shipped in the frame so
   /// the worker refuses expired work. 0 disables the detector (calls block),
   /// which is the right default when a chunk legitimately takes a while.

@@ -2,14 +2,15 @@
 
 #include "common/serialize.h"
 #include "video/container/vrmp.h"
+#include "vision/overlay.h"
 
 namespace visualroad::dist {
 namespace {
 
 // Smallest wire encodings of repeated items. A count field is checked against
 // the bytes left divided by these before anything is allocated for it.
-constexpr size_t kDetectionBytes = 29;       // U8 + 4 x I32 + F64 + I32.
-constexpr size_t kDetectionFrameBytes = 4;   // The frame's U32 count.
+constexpr size_t kBitrateBytes = 8;          // One U64.
+constexpr size_t kRangeItemBytes = 166;      // Index, empty bitrates and plate.
 constexpr size_t kInstanceResultBytes = 95;  // Empty strings, no frames.
 
 void WriteCityConfig(ByteWriter& writer, const sim::CityConfig& config) {
@@ -125,7 +126,7 @@ queries::QueryInstance ReadQueryInstance(ByteCursor& cursor) {
   instance.q2d_epsilon = cursor.F64();
   instance.q3_dx = cursor.I32();
   instance.q3_dy = cursor.I32();
-  uint32_t bitrates = cursor.U32();
+  const uint32_t bitrates = cursor.Count(kBitrateBytes);
   instance.q3_bitrates.clear();
   for (uint32_t i = 0; i < bitrates && cursor.ok(); ++i) {
     instance.q3_bitrates.push_back(static_cast<int64_t>(cursor.U64()));
@@ -166,51 +167,6 @@ systems::EngineStats ReadEngineStats(ByteCursor& cursor) {
   return stats;
 }
 
-void WriteDetections(
-    ByteWriter& writer,
-    const std::vector<std::vector<vision::Detection>>& detections) {
-  writer.U32(static_cast<uint32_t>(detections.size()));
-  for (const std::vector<vision::Detection>& frame : detections) {
-    writer.U32(static_cast<uint32_t>(frame.size()));
-    for (const vision::Detection& detection : frame) {
-      writer.U8(static_cast<uint8_t>(detection.object_class));
-      writer.I32(detection.box.x0);
-      writer.I32(detection.box.y0);
-      writer.I32(detection.box.x1);
-      writer.I32(detection.box.y1);
-      writer.F64(detection.score);
-      writer.I32(detection.entity_id);
-    }
-  }
-}
-
-StatusOr<std::vector<std::vector<vision::Detection>>> ReadDetections(
-    ByteCursor& cursor) {
-  std::vector<std::vector<vision::Detection>> detections;
-  const uint32_t frames = cursor.Count(kDetectionFrameBytes);
-  if (!cursor.ok()) return Status::DataLoss("detection frame count exceeds the payload");
-  detections.reserve(frames);
-  for (uint32_t f = 0; f < frames && cursor.ok(); ++f) {
-    const uint32_t count = cursor.Count(kDetectionBytes);
-    if (!cursor.ok()) return Status::DataLoss("detection count exceeds the payload");
-    std::vector<vision::Detection> frame;
-    frame.reserve(count);
-    for (uint32_t d = 0; d < count && cursor.ok(); ++d) {
-      vision::Detection detection;
-      detection.object_class = static_cast<sim::ObjectClass>(cursor.U8());
-      detection.box.x0 = cursor.I32();
-      detection.box.y0 = cursor.I32();
-      detection.box.x1 = cursor.I32();
-      detection.box.y1 = cursor.I32();
-      detection.score = cursor.F64();
-      detection.entity_id = cursor.I32();
-      frame.push_back(detection);
-    }
-    detections.push_back(std::move(frame));
-  }
-  return detections;
-}
-
 }  // namespace
 
 std::vector<uint8_t> EncodeWorkerSetup(const WorkerSetup& setup) {
@@ -226,12 +182,10 @@ std::vector<uint8_t> EncodeWorkerSetup(const WorkerSetup& setup) {
   writer.U8(static_cast<uint8_t>(options.output_profile));
   writer.I32(options.codec_threads);
   WriteDetectorOptions(writer, setup.detector);
-  writer.U8(setup.semantic_cache ? 1 : 0);
   writer.Str(setup.store_root);
   writer.I32(setup.store_nodes);
   writer.I32(setup.store_replication);
   writer.U64(static_cast<uint64_t>(setup.store_block_size));
-  writer.U8(setup.attach_vss ? 1 : 0);
   return writer.Take();
 }
 
@@ -249,12 +203,10 @@ StatusOr<WorkerSetup> DecodeWorkerSetup(const std::vector<uint8_t>& bytes) {
   options.output_profile = static_cast<video::codec::Profile>(cursor.U8());
   options.codec_threads = cursor.I32();
   setup.detector = ReadDetectorOptions(cursor);
-  setup.semantic_cache = cursor.U8() != 0;
   setup.store_root = cursor.Str();
   setup.store_nodes = cursor.I32();
   setup.store_replication = cursor.I32();
   setup.store_block_size = static_cast<int64_t>(cursor.U64());
-  setup.attach_vss = cursor.U8() != 0;
   if (!cursor.ok()) return Status::DataLoss("malformed worker setup payload");
   options.detector = setup.detector;
   return setup;
@@ -278,7 +230,7 @@ StatusOr<ExecuteRangeRequest> DecodeExecuteRequest(
   ExecuteRangeRequest request;
   request.mode = static_cast<systems::OutputMode>(cursor.U8());
   request.output_dir = cursor.Str();
-  uint32_t count = cursor.U32();
+  const uint32_t count = cursor.Count(kRangeItemBytes);
   for (uint32_t i = 0; i < count && cursor.ok(); ++i) {
     RangeItem item;
     item.index = cursor.I32();
@@ -313,7 +265,7 @@ std::vector<uint8_t> EncodeExecuteResponse(
     } else {
       writer.Str(std::string());
     }
-    WriteDetections(writer, result.output.detections);
+    vision::WriteDetections(writer, result.output.detections);
     writer.Str(result.output.written_path);
   }
   return writer.Take();
@@ -345,7 +297,7 @@ StatusOr<std::vector<InstanceResult>> DecodeExecuteResponse(
                           video::container::Demux(muxed));
       result.output.video = std::move(container.video);
     }
-    VR_ASSIGN_OR_RETURN(result.output.detections, ReadDetections(cursor));
+    VR_ASSIGN_OR_RETURN(result.output.detections, vision::ReadDetections(cursor));
     result.output.written_path = cursor.Str();
     results.push_back(std::move(result));
   }
@@ -360,15 +312,7 @@ std::vector<uint8_t> EncodeCacheEntries(
   ByteWriter writer;
   writer.U32(static_cast<uint32_t>(entries.size()));
   for (const std::shared_ptr<const queries::SemanticEntry>& entry : entries) {
-    writer.U64(entry->key.stream);
-    writer.Str(entry->key.model);
-    writer.F64(entry->key.threshold);
-    writer.I32(entry->range.first);
-    writer.I32(entry->range.count);
-    writer.I32(entry->width);
-    writer.I32(entry->height);
-    writer.F64(entry->fps);
-    WriteDetections(writer, entry->detections);
+    queries::WriteSemanticEntry(writer, *entry);
   }
   return writer.Take();
 }
@@ -376,29 +320,14 @@ std::vector<uint8_t> EncodeCacheEntries(
 StatusOr<std::vector<queries::SemanticEntry>> DecodeCacheEntries(
     const std::vector<uint8_t>& bytes) {
   ByteCursor cursor(bytes);
-  uint32_t count = cursor.U32();
+  const uint32_t count = cursor.Count(queries::kSemanticEntryMinBytes);
+  if (!cursor.ok()) return Status::DataLoss("malformed cache-entries payload");
   std::vector<queries::SemanticEntry> entries;
-  for (uint32_t i = 0; i < count && cursor.ok(); ++i) {
-    queries::SemanticEntry entry;
-    entry.key.stream = cursor.U64();
-    entry.key.model = cursor.Str();
-    entry.key.threshold = cursor.F64();
-    entry.range.first = cursor.I32();
-    entry.range.count = cursor.I32();
-    entry.width = cursor.I32();
-    entry.height = cursor.I32();
-    entry.fps = cursor.F64();
-    VR_ASSIGN_OR_RETURN(entry.detections, ReadDetections(cursor));
-    if (!cursor.ok()) break;
-    if (entry.range.count <= 0 ||
-        entry.detections.size() != static_cast<size_t>(entry.range.count)) {
-      return Status::DataLoss("malformed cache-entries payload");
-    }
-    entry.RecomputeBytes();
+  entries.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    VR_ASSIGN_OR_RETURN(queries::SemanticEntry entry,
+                        queries::ReadSemanticEntry(cursor));
     entries.push_back(std::move(entry));
-  }
-  if (!cursor.ok() || entries.size() != count) {
-    return Status::DataLoss("malformed cache-entries payload");
   }
   return entries;
 }

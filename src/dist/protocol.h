@@ -34,20 +34,16 @@ struct WorkerSetup {
   /// Reference detector configuration; every field rides the wire because
   /// detection output feeds byte-identity.
   vision::DetectorOptions detector;
-  /// Host a worker-local semantic result cache.
-  bool semantic_cache = true;
   /// Storage staging: when non-empty the worker attaches read-only to the
   /// ShardedStore rooted here (the coordinator's staged dataset + VSS
-  /// catalog) and loads its corpus from the store instead of regenerating
-  /// pixels. The store geometry fields mirror the coordinator's
-  /// StoreOptions so block placement and manifests agree across processes.
+  /// catalog), loads its corpus from the store instead of regenerating
+  /// pixels, and reads its engine inputs through the store's VSS. The store
+  /// geometry fields mirror the coordinator's StoreOptions so block
+  /// placement and manifests agree across processes.
   std::string store_root;
   int store_nodes = 4;
   int store_replication = 2;
   int64_t store_block_size = int64_t{1} << 20;
-  /// With staging on, also attach the worker engine to the store's VSS
-  /// catalog (EngineOptions::vss) so input reads are storage-backed.
-  bool attach_vss = true;
 };
 
 std::vector<uint8_t> EncodeWorkerSetup(const WorkerSetup& setup);
@@ -102,9 +98,9 @@ std::vector<uint8_t> EncodeWorkerStats(const WorkerStats& stats);
 StatusOr<WorkerStats> DecodeWorkerStats(const std::vector<uint8_t>& bytes);
 
 /// Semantic-cache shipping payload (kCacheExport response / kCacheImport
-/// request): a flat list of ready entries. Each entry reuses the cache's
-/// persisted layout — key, range, geometry, then per-frame detections — so
-/// the wire and on-store representations cannot drift apart independently.
+/// request): a U32 count of ready entries, each in the layout the cache
+/// persists (queries::WriteSemanticEntry: key, geometry, then per-frame
+/// detections), so the wire and on-store representations cannot drift apart.
 std::vector<uint8_t> EncodeCacheEntries(
     const std::vector<std::shared_ptr<const queries::SemanticEntry>>& entries);
 StatusOr<std::vector<queries::SemanticEntry>> DecodeCacheEntries(

@@ -106,15 +106,12 @@ StatusOr<std::vector<uint8_t>> HandleSetup(const WorkerServerOptions& options,
                         storage::ShardedStore::Open(store_options));
     next->store = std::make_unique<storage::ShardedStore>(std::move(store));
     VR_ASSIGN_OR_RETURN(next->dataset, options.dataset_loader(*next->store));
-    if (setup.attach_vss) {
-      storage::VssOptions vss_options;
-      vss_options.store = next->store.get();
-      // 0 disables persisting transcode results: reads never write back.
-      vss_options.variant_cache_bytes = 0;
-      VR_ASSIGN_OR_RETURN(next->vss,
-                          storage::VideoStorageService::Open(vss_options));
-      engine_options.vss = next->vss.get();
-    }
+    storage::VssOptions vss_options;
+    vss_options.store = next->store.get();
+    // 0 disables persisting transcode results: reads never write back.
+    vss_options.variant_cache_bytes = 0;
+    VR_ASSIGN_OR_RETURN(next->vss, storage::VideoStorageService::Open(vss_options));
+    engine_options.vss = next->vss.get();
     WorkerMetrics::Get().stagings.Increment();
   } else {
     sim::GeneratorOptions generator_options;
@@ -124,13 +121,10 @@ StatusOr<std::vector<uint8_t>> HandleSetup(const WorkerServerOptions& options,
         options.dataset_factory(setup.config, generator_options));
     WorkerMetrics::Get().regenerations.Increment();
   }
-  if (setup.semantic_cache) {
-    // A worker-local semantic result store: cross-instance reuse within this
-    // worker, byte-identical results by the cache's contract.
-    next->semantic_cache = std::make_unique<queries::SemanticCache>(
-        queries::SemanticCacheOptions{});
-    engine_options.semantic_cache = next->semantic_cache.get();
-  }
+  // A worker-local semantic result store: cross-instance reuse within this
+  // worker, byte-identical results by the cache's contract.
+  next->semantic_cache = std::make_unique<queries::SemanticCache>();
+  engine_options.semantic_cache = next->semantic_cache.get();
   VR_ASSIGN_OR_RETURN(next->engine,
                       MakeEngineByName(setup.engine, engine_options));
   state = std::move(next);
@@ -246,20 +240,18 @@ bool ServeConnection(const WorkerServerOptions& options,
           return EncodeWorkerStats(stats);
         }
         case MethodId::kCacheExport: {
-          // A worker without a cache (not yet set up, or caching disabled)
-          // exports the empty set rather than erroring: the coordinator
-          // treats any live worker as a potential warm-start donor.
-          if (state == nullptr || state->semantic_cache == nullptr) {
-            return EncodeCacheEntries({});
-          }
+          // A worker not yet set up exports the empty set rather than
+          // erroring: the coordinator treats any live worker as a potential
+          // warm-start donor.
+          if (state == nullptr) return EncodeCacheEntries({});
           return EncodeCacheEntries(state->semantic_cache->Snapshot());
         }
         case MethodId::kCacheImport: {
           VR_ASSIGN_OR_RETURN(std::vector<queries::SemanticEntry> entries,
                               DecodeCacheEntries(request.payload));
-          // Dropped silently when caching is off — pre-seeding is an
-          // optimisation, never a correctness requirement.
-          if (state != nullptr && state->semantic_cache != nullptr) {
+          // Dropped silently before setup — pre-seeding is an optimisation,
+          // never a correctness requirement.
+          if (state != nullptr) {
             for (queries::SemanticEntry& entry : entries) {
               state->semantic_cache->Insert(std::move(entry));
             }

@@ -87,7 +87,7 @@ struct QueryPlan {
   RectI roi;
   /// True when the query's inference stage consults the semantic cache.
   bool semcache_enabled = false;
-  /// True when a covering materialized entry already exists, so the plan
+  /// True when the stream's materialized entry already exists, so the plan
   /// needs no decode at all for the inference stage (Q2(c): the whole query
   /// becomes a metadata lookup plus a render).
   bool semcache_warm = false;

@@ -114,8 +114,9 @@ Status ParseSegment(const uint8_t* data, size_t size, const SegmentInfo& seg,
   ByteCursor cursor(data, size);
   if (cursor.U32() != kSegmentMagic) return Status::DataLoss("bad segment magic");
   int first = static_cast<int>(cursor.U32());
-  int count = static_cast<int>(cursor.U32());
-  if (first != seg.first_frame || count != seg.frame_count) {
+  // Each frame header is U8 keyframe + U8 qp + U32 size.
+  int count = static_cast<int>(cursor.Count(6));
+  if (!cursor.ok() || first != seg.first_frame || count != seg.frame_count) {
     return Status::DataLoss("segment header does not match the manifest");
   }
   std::vector<EncodedFrame> frames(static_cast<size_t>(count));
@@ -145,6 +146,13 @@ std::string CameraStreamName(int camera_id) {
   return "camera_" + std::to_string(camera_id);
 }
 
+VideoStorageService::VideoStorageService(const VssOptions& options)
+    : options_(options),
+      resident_(options.resident_bytes,
+                LruCacheMetrics{.hits = &VssMetrics::Get().resident_hits,
+                                .evictions = &VssMetrics::Get().resident_evictions,
+                                .bytes_in_use = &VssMetrics::Get().resident_bytes}) {}
+
 std::string VideoStorageService::ObjectName(const std::string& name,
                                             const VariantKey& key) {
   return "vss/" + name + "/" + VariantTag(key) + ".var";
@@ -154,9 +162,6 @@ StatusOr<std::unique_ptr<VideoStorageService>> VideoStorageService::Open(
     const VssOptions& options) {
   if (options.store == nullptr) {
     return Status::InvalidArgument("vss needs a backing store");
-  }
-  if (options.gops_per_segment < 1) {
-    return Status::InvalidArgument("gops_per_segment must be >= 1");
   }
   if (options.compaction_byte_slack < 1.0) {
     return Status::InvalidArgument("compaction_byte_slack must be >= 1");
@@ -182,10 +187,9 @@ StatusOr<VariantInfo> VideoStorageService::WriteVariantObject(
   VR_ASSIGN_OR_RETURN(ShardedStore::Writer writer,
                       options_.store->OpenWriter(ObjectName(name, key)));
   int64_t offset = 0;
-  size_t step = static_cast<size_t>(options_.gops_per_segment);
-  for (size_t s = 0; s < starts.size(); s += step) {
+  for (size_t s = 0; s < starts.size(); ++s) {
     int first = starts[s];
-    int end = s + step < starts.size() ? starts[s + step] : stream.FrameCount();
+    int end = s + 1 < starts.size() ? starts[s + 1] : stream.FrameCount();
     std::vector<uint8_t> segment = SerializeSegment(stream, first, end - first);
     VR_RETURN_IF_ERROR(writer.Append(segment));
     info.segments.push_back(
@@ -238,16 +242,9 @@ Status VideoStorageService::Ingest(const std::string& name,
   deferred_deletes_.erase({name, base_key});
   // Resident copies of the old content are stale too.
   const std::string prefix = name + "/";
-  for (auto res = resident_.begin(); res != resident_.end();) {
-    if (res->first.compare(0, prefix.size(), prefix) == 0) {
-      resident_bytes_ -= res->second.bytes;
-      VssMetrics::Get().resident_bytes.Add(static_cast<double>(-res->second.bytes));
-      resident_lru_.erase(res->second.lru_pos);
-      res = resident_.erase(res);
-    } else {
-      ++res;
-    }
-  }
+  resident_.EraseIf([&prefix](const std::string& key) {
+    return key.compare(0, prefix.size(), prefix) == 0;
+  });
 
   CatalogEntry entry;
   entry.name = name;
@@ -301,7 +298,7 @@ StatusOr<EncodedVideo> VideoStorageService::Transcode(
   TRACE_SPAN("vss_transcode");
   VR_ASSIGN_OR_RETURN(
       video::Video decoded,
-      video::codec::ParallelDecode(source_video, options_.transcode_threads));
+      video::codec::ParallelDecode(source_video));
   if (tier.width != source_video.width || tier.height != source_video.height) {
     for (video::Frame& frame : decoded.frames) {
       VR_ASSIGN_OR_RETURN(frame,
@@ -312,9 +309,7 @@ StatusOr<EncodedVideo> VideoStorageService::Transcode(
   config.profile = props.profile;
   config.gop_length = props.gop_length > 0 ? props.gop_length : 15;
   config.qp = tier.qp;
-  VR_ASSIGN_OR_RETURN(EncodedVideo out,
-                      video::codec::ParallelEncode(decoded, config,
-                                                   options_.transcode_threads));
+  VR_ASSIGN_OR_RETURN(EncodedVideo out, video::codec::ParallelEncode(decoded, config));
   out.fps = props.fps;
   return out;
 }
@@ -337,25 +332,21 @@ StatusOr<std::shared_ptr<const EncodedVideo>> VideoStorageService::AcquireStream
     auto it = catalog_.find(name);
     if (it == catalog_.end()) return Status::NotFound("no such video: " + name);
     CatalogEntry& entry = it->second;
-    const VariantInfo* chosen = ChooseSource(entry, tier, options_.cost_model);
+    const VariantInfo* chosen = ChooseSource(entry, tier, CostModel{});
     if (chosen == nullptr) {
       return Status::NotFound("no variant of " + name + " can serve tier " +
                               VariantTag(tier));
     }
     direct = Serves(*chosen, tier) || degrade_to_source;
     serving_key = direct ? chosen->key : tier;
-    const std::string rkey = name + "/" + VariantTag(serving_key);
-    auto res = resident_.find(rkey);
-    if (res != resident_.end()) {
-      TouchResidentLocked(rkey);
-      ++stats_.resident_hits;
-      VssMetrics::Get().resident_hits.Increment();
+    if (std::shared_ptr<const EncodedVideo> resident =
+            resident_.Get(name + "/" + VariantTag(serving_key))) {
       if (degrade_to_source) {
         ++stats_.degraded_reads;
         VssMetrics::Get().degraded_reads.Increment();
         fault::NoteDegraded();
       }
-      return res->second.video;
+      return resident;
     }
     auto flight = std::make_pair(name, serving_key);
     auto fit = inflight_.find(flight);
@@ -481,7 +472,7 @@ StatusOr<std::shared_ptr<const EncodedVideo>> VideoStorageService::AcquireStream
     }
   }
   auto shared = std::make_shared<const EncodedVideo>(std::move(*produced));
-  PublishResidentLocked(name + "/" + VariantTag(serving_key), shared);
+  resident_.Put(name + "/" + VariantTag(serving_key), shared);
   inflight_cv_.notify_all();
   return shared;
 }
@@ -511,15 +502,11 @@ StatusOr<RangeRead> VideoStorageService::ReadRange(const std::string& name,
   if (first < 0 || first + count > entry.frame_count) {
     return Status::OutOfRange("frame range outside the stream");
   }
-  const VariantInfo* chosen = ChooseSource(entry, tier, options_.cost_model);
+  const VariantInfo* chosen = ChooseSource(entry, tier, CostModel{});
   if (chosen != nullptr && Serves(*chosen, tier)) {
-    const std::string rkey = name + "/" + VariantTag(chosen->key);
-    auto res = resident_.find(rkey);
-    if (res != resident_.end()) {
-      TouchResidentLocked(rkey);
-      ++stats_.resident_hits;
-      VssMetrics::Get().resident_hits.Increment();
-      return RangeRead{res->second.video, 0};
+    if (std::shared_ptr<const EncodedVideo> resident =
+            resident_.Get(name + "/" + VariantTag(chosen->key))) {
+      return RangeRead{std::move(resident), 0};
     }
     // Covering GOP-aligned segment span of [first, first + count).
     const std::vector<SegmentInfo>& segments = chosen->segments;
@@ -649,50 +636,7 @@ void VideoStorageService::UnpinLocked(const std::string& name,
   }
 }
 
-// --- Resident cache ------------------------------------------------------
-
-void VideoStorageService::PublishResidentLocked(
-    const std::string& rkey, std::shared_ptr<const EncodedVideo> video) {
-  int64_t bytes = video->TotalBytes();
-  auto [it, inserted] = resident_.try_emplace(rkey);
-  if (!inserted) {
-    resident_bytes_ -= it->second.bytes;
-    VssMetrics::Get().resident_bytes.Add(static_cast<double>(-it->second.bytes));
-    resident_lru_.erase(it->second.lru_pos);
-  }
-  it->second.video = std::move(video);
-  it->second.bytes = bytes;
-  resident_lru_.push_back(rkey);
-  it->second.lru_pos = std::prev(resident_lru_.end());
-  resident_bytes_ += bytes;
-  VssMetrics::Get().resident_bytes.Add(static_cast<double>(bytes));
-  EvictResidentLocked();
-}
-
-void VideoStorageService::TouchResidentLocked(const std::string& rkey) {
-  ResidentEntry& entry = resident_.at(rkey);
-  resident_lru_.splice(resident_lru_.end(), resident_lru_, entry.lru_pos);
-}
-
-void VideoStorageService::EvictResidentLocked() {
-  while (resident_bytes_ > options_.resident_bytes && !resident_lru_.empty()) {
-    auto it = resident_.find(resident_lru_.front());
-    resident_bytes_ -= it->second.bytes;
-    VssMetrics::Get().resident_bytes.Add(static_cast<double>(-it->second.bytes));
-    resident_.erase(it);
-    resident_lru_.pop_front();
-    ++stats_.resident_evictions;
-    VssMetrics::Get().resident_evictions.Increment();
-  }
-}
-
-void VideoStorageService::DropResident() {
-  std::lock_guard lock(mutex_);
-  VssMetrics::Get().resident_bytes.Add(static_cast<double>(-resident_bytes_));
-  resident_.clear();
-  resident_lru_.clear();
-  resident_bytes_ = 0;
-}
+void VideoStorageService::DropResident() { resident_.Clear(); }
 
 // --- Introspection -------------------------------------------------------
 
@@ -729,8 +673,12 @@ StatusOr<VariantKey> VideoStorageService::BaseTier(
 }
 
 VssStats VideoStorageService::stats() const {
+  const LruCacheStats resident = resident_.stats();
   std::lock_guard lock(mutex_);
-  return stats_;
+  VssStats out = stats_;
+  out.resident_hits = resident.hits;
+  out.resident_evictions = resident.evictions;
+  return out;
 }
 
 // --- Catalog persistence -------------------------------------------------

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "storage/sharded_store.h"
 #include "storage/vss_policy.h"
 
@@ -29,14 +29,6 @@ struct VssOptions {
   /// Byte budget for assembled bitstreams kept resident in memory across
   /// reads (encoded bytes, typically ~1% of the decoded-GOP cache).
   int64_t resident_bytes = int64_t{128} << 20;
-  /// Closed GOPs per stored segment; larger amortizes headers, smaller
-  /// tightens range reads.
-  int gops_per_segment = 1;
-  /// Threads for transcode decode/encode on the shared codec pool;
-  /// 0 selects the pool default.
-  int transcode_threads = 0;
-  /// Relative costs driving variant selection.
-  CostModel cost_model;
   /// A cached variant is compacted away when another materialized variant
   /// of the same resolution and no worse quality is at most this factor
   /// larger (reads pay at most the factor in extra bytes, storage drops).
@@ -142,12 +134,6 @@ class VideoStorageService {
   const VssOptions& options() const { return options_; }
 
  private:
-  struct ResidentEntry {
-    std::shared_ptr<const video::codec::EncodedVideo> video;
-    int64_t bytes = 0;
-    std::list<std::string>::iterator lru_pos;
-  };
-
   /// Shared state of one in-flight materialization. Waiters hold the
   /// shared_ptr across the wait, so the leader's outcome (success, failure,
   /// or deadline degradation) reaches them even after the flight entry is
@@ -159,7 +145,14 @@ class VideoStorageService {
     Status status;
   };
 
-  explicit VideoStorageService(const VssOptions& options) : options_(options) {}
+  /// The budgeted size of a resident stream: its encoded bytes.
+  struct StreamBytes {
+    int64_t operator()(const video::codec::EncodedVideo& video) const {
+      return video.TotalBytes();
+    }
+  };
+
+  explicit VideoStorageService(const VssOptions& options);
 
   static std::string ObjectName(const std::string& name, const VariantKey& key);
 
@@ -194,11 +187,6 @@ class VideoStorageService {
                                            const video::codec::EncodedVideo& stream,
                                            bool base) const;
 
-  // Resident-cache helpers; caller holds mutex_.
-  void PublishResidentLocked(const std::string& rkey,
-                             std::shared_ptr<const video::codec::EncodedVideo> video);
-  void TouchResidentLocked(const std::string& rkey);
-  void EvictResidentLocked();
   /// Applies the variant-cache byte budget; caller holds mutex_.
   void EvictVariantsLocked();
 
@@ -223,9 +211,10 @@ class VideoStorageService {
   /// (name, key) is re-persisted (the store object was overwritten, so
   /// nothing stale remains).
   std::set<std::pair<std::string, VariantKey>> deferred_deletes_;
-  std::map<std::string, ResidentEntry> resident_;
-  std::list<std::string> resident_lru_;  // Front is least recently used.
-  int64_t resident_bytes_ = 0;
+  /// Assembled streams kept in memory, keyed "<video>/<variant tag>".
+  LruCache<std::string, video::codec::EncodedVideo, std::hash<std::string>,
+           StreamBytes>
+      resident_;
   uint64_t use_clock_ = 0;
   VssStats stats_;
 };

@@ -1,10 +1,6 @@
 #include "video/codec/gop_cache.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <list>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "common/metrics.h"
@@ -19,58 +15,33 @@ namespace {
 /// construct private caches besides Global()). Per-instance stats() remains
 /// the exact per-cache view.
 struct CacheMetrics {
-  metrics::Counter& hits;
-  metrics::Counter& misses;
-  metrics::Counter& coalesced;
-  metrics::Counter& evictions;
-  metrics::Gauge& bytes_in_use;
-  metrics::Gauge& entries;
+  LruCacheMetrics lru;
   metrics::Histogram& decode_seconds;
 
   static CacheMetrics& Get() {
     static CacheMetrics* instruments = [] {
       metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+      LruCacheMetrics lru;
+      lru.hits = &registry.GetCounter("vr_gop_cache_hits_total",
+                                      "GOP cache lookups satisfied by a ready entry");
+      lru.misses = &registry.GetCounter(
+          "vr_gop_cache_misses_total",
+          "GOP cache lookups that decoded as the single-flight leader");
+      lru.coalesced = &registry.GetCounter(
+          "vr_gop_cache_coalesced_total",
+          "GOP cache lookups that waited on another caller's decode");
+      lru.evictions = &registry.GetCounter("vr_gop_cache_evictions_total",
+                                           "Cached GOPs dropped to fit the byte budget");
+      lru.bytes_in_use = &registry.GetGauge(
+          "vr_gop_cache_bytes_in_use", "Decoded bytes resident across all GOP caches");
+      lru.entries = &registry.GetGauge(
+          "vr_gop_cache_entries", "Ready GOP entries resident across all GOP caches");
       return new CacheMetrics{
-          registry.GetCounter("vr_gop_cache_hits_total",
-                              "GOP cache lookups satisfied by a ready entry"),
-          registry.GetCounter(
-              "vr_gop_cache_misses_total",
-              "GOP cache lookups that decoded as the single-flight leader"),
-          registry.GetCounter(
-              "vr_gop_cache_coalesced_total",
-              "GOP cache lookups that waited on another caller's decode"),
-          registry.GetCounter("vr_gop_cache_evictions_total",
-                              "Cached GOPs dropped to fit the byte budget"),
-          registry.GetGauge("vr_gop_cache_bytes_in_use",
-                            "Decoded bytes resident across all GOP caches"),
-          registry.GetGauge("vr_gop_cache_entries",
-                            "Ready GOP entries resident across all GOP caches"),
-          registry.GetHistogram(
-              "vr_gop_decode_seconds",
-              "Wall-clock duration of single-flight GOP decodes",
-              {0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0}),
-      };
+          lru, registry.GetHistogram("vr_gop_decode_seconds",
+                                     "Wall-clock duration of single-flight GOP decodes",
+                                     {0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0})};
     }();
     return *instruments;
-  }
-};
-
-struct Key {
-  uint64_t identity = 0;
-  int start = 0;
-
-  bool operator==(const Key& other) const {
-    return identity == other.identity && start == other.start;
-  }
-};
-
-struct KeyHash {
-  size_t operator()(const Key& key) const {
-    uint64_t h = key.identity ^ (static_cast<uint64_t>(key.start) * 0x9e3779b97f4a7c15ull);
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 33;
-    return static_cast<size_t>(h);
   }
 };
 
@@ -84,28 +55,16 @@ int64_t DecodedFrameBytes(int width, int height) {
 
 }  // namespace
 
-struct GopCache::State {
-  struct Entry {
-    std::shared_ptr<const DecodedGop> value;  // Null while the decode is in flight.
-    bool decoding = false;
-    std::list<Key>::iterator lru_position;  // Valid only when `value` is set.
-  };
-
-  mutable std::mutex mutex;
-  std::condition_variable ready;
-  std::unordered_map<Key, Entry, KeyHash> entries;
-  std::list<Key> lru;  // Front is the least recently used.
-  int64_t bytes = 0;
-  GopCacheStats stats;
-};
+size_t GopCache::KeyHash::operator()(const Key& key) const {
+  uint64_t h = key.identity ^ (static_cast<uint64_t>(key.start) * 0x9e3779b97f4a7c15ull);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  return static_cast<size_t>(h);
+}
 
 GopCache::GopCache(const GopCacheOptions& options)
-    : capacity_bytes_(std::max<int64_t>(options.capacity_bytes, 0)),
-      state_(std::make_unique<State>()) {}
-
-// Clearing takes this cache's share out of the process-wide gauges, which
-// sum over every live cache.
-GopCache::~GopCache() { Clear(); }
+    : lru_(options.capacity_bytes, CacheMetrics::Get().lru) {}
 
 GopCache& GopCache::Global() {
   // Leaked intentionally: engine threads may outlive static destruction order.
@@ -113,124 +72,28 @@ GopCache& GopCache::Global() {
   return *cache;
 }
 
-void GopCache::EvictLocked() {
-  State& state = *state_;
-  while (state.bytes > capacity_bytes_ && !state.lru.empty()) {
-    Key victim = state.lru.front();
-    state.lru.pop_front();
-    auto it = state.entries.find(victim);
-    if (it != state.entries.end() && it->second.value != nullptr) {
-      state.bytes -= it->second.value->bytes;
-      CacheMetrics::Get().bytes_in_use.Add(
-          -static_cast<double>(it->second.value->bytes));
-      CacheMetrics::Get().entries.Add(-1.0);
-      state.entries.erase(it);
-      ++state.stats.evictions;
-      CacheMetrics::Get().evictions.Increment();
-    }
-  }
-}
-
 StatusOr<std::shared_ptr<const DecodedGop>> GopCache::Get(
     const EncodedVideo& encoded, uint64_t identity, int start, int count,
     Outcome* outcome) {
-  Key key{identity, start};
-  State& state = *state_;
-
-  bool waited = false;
-  {
-    std::unique_lock<std::mutex> lock(state.mutex);
-    for (;;) {
-      auto it = state.entries.find(key);
-      if (it == state.entries.end()) break;  // Cold (or a leader failed): lead.
-      if (!it->second.decoding) {
-        // Ready: refresh recency and share the entry.
-        state.lru.splice(state.lru.end(), state.lru, it->second.lru_position);
-        if (waited) {
-          ++state.stats.coalesced;
-          CacheMetrics::Get().coalesced.Increment();
-          if (outcome) *outcome = Outcome::kCoalesced;
-        } else {
-          ++state.stats.hits;
-          CacheMetrics::Get().hits.Increment();
-          if (outcome) *outcome = Outcome::kHit;
-        }
-        return it->second.value;
-      }
-      waited = true;
-      state.ready.wait(lock);
-    }
-    // Single-flight leader: publish the in-flight marker before decoding.
-    state.entries[key].decoding = true;
-    ++state.stats.misses;
-    CacheMetrics::Get().misses.Increment();
-    if (outcome) *outcome = Outcome::kMiss;
-  }
-
-  // Decode outside the lock; other keys proceed freely. Serial decode: the
-  // GOP itself is the unit of parallelism here.
-  Stopwatch decode_watch;
-  StatusOr<Video> decoded = [&] {
-    TRACE_SPAN("gop_decode");
-    return DecodeRange(encoded, start, count, /*threads=*/1);
-  }();
-  CacheMetrics::Get().decode_seconds.Observe(decode_watch.ElapsedSeconds());
-
-  std::unique_lock<std::mutex> lock(state.mutex);
-  if (!decoded.ok()) {
-    state.entries.erase(key);
-    state.ready.notify_all();
-    return decoded.status();
-  }
-
-  auto gop = std::make_shared<DecodedGop>();
-  gop->first_frame = start;
-  gop->frames = std::move(decoded->frames);
-  gop->bytes = DecodedFrameBytes(encoded.width, encoded.height) *
-               static_cast<int64_t>(gop->frames.size());
-
-  auto it = state.entries.find(key);
-  if (it == state.entries.end()) {
-    // Clear() ran mid-decode; hand the result to the caller uncached.
-    state.ready.notify_all();
-    return std::shared_ptr<const DecodedGop>(gop);
-  }
-  it->second.decoding = false;
-  it->second.value = gop;
-  it->second.lru_position = state.lru.insert(state.lru.end(), key);
-  state.bytes += gop->bytes;
-  CacheMetrics::Get().bytes_in_use.Add(static_cast<double>(gop->bytes));
-  CacheMetrics::Get().entries.Add(1.0);
-  EvictLocked();
-  state.ready.notify_all();
-  return std::shared_ptr<const DecodedGop>(gop);
-}
-
-void GopCache::Clear() {
-  State& state = *state_;
-  std::lock_guard<std::mutex> lock(state.mutex);
-  // In-flight decodes stay: their leaders complete (uncached if the entry
-  // vanished). Only ready entries are dropped.
-  for (auto it = state.entries.begin(); it != state.entries.end();) {
-    if (it->second.decoding) {
-      ++it;
-    } else {
-      state.lru.erase(it->second.lru_position);
-      state.bytes -= it->second.value->bytes;
-      CacheMetrics::Get().bytes_in_use.Add(
-          -static_cast<double>(it->second.value->bytes));
-      CacheMetrics::Get().entries.Add(-1.0);
-      it = state.entries.erase(it);
-    }
-  }
-}
-
-GopCacheStats GopCache::stats() const {
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  GopCacheStats total = state_->stats;
-  total.bytes_in_use = state_->bytes;
-  total.entries = static_cast<int64_t>(state_->entries.size());
-  return total;
+  return lru_.GetOrCompute(
+      Key{identity, start},
+      [&]() -> StatusOr<DecodedGop> {
+        // Serial decode: the GOP itself is the unit of parallelism here.
+        Stopwatch decode_watch;
+        StatusOr<Video> decoded = [&] {
+          TRACE_SPAN("gop_decode");
+          return DecodeRange(encoded, start, count, /*threads=*/1);
+        }();
+        CacheMetrics::Get().decode_seconds.Observe(decode_watch.ElapsedSeconds());
+        if (!decoded.ok()) return decoded.status();
+        DecodedGop gop;
+        gop.first_frame = start;
+        gop.frames = std::move(decoded->frames);
+        gop.bytes = DecodedFrameBytes(encoded.width, encoded.height) *
+                    static_cast<int64_t>(gop.frames.size());
+        return gop;
+      },
+      outcome);
 }
 
 uint64_t StreamIdentity(const EncodedVideo& encoded) {

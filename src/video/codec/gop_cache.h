@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/status.h"
 #include "video/codec/codec.h"
 #include "video/frame.h"
@@ -20,15 +21,9 @@ struct DecodedGop {
   int64_t bytes = 0;  // Decoded payload size, for the cache budget.
 };
 
-/// Cumulative counters of one cache.
-struct GopCacheStats {
-  int64_t hits = 0;        // Entry was ready on arrival.
-  int64_t misses = 0;      // Caller decoded the GOP (single-flight leader).
-  int64_t coalesced = 0;   // Waited on another caller's in-flight decode.
-  int64_t evictions = 0;   // Entries dropped to fit the byte budget.
-  int64_t bytes_in_use = 0;
-  int64_t entries = 0;
-};
+/// Cumulative counters of one cache: `misses` counts decodes run as the
+/// single-flight leader, `coalesced` lookups that waited on one.
+using GopCacheStats = LruCacheStats;
 
 struct GopCacheOptions {
   /// Decoded-frame budget of the whole cache.
@@ -37,13 +32,11 @@ struct GopCacheOptions {
 
 /// LRU of decoded GOPs keyed by (stream identity, GOP start frame), with one
 /// byte budget and single-flight decode: concurrent requesters of the same
-/// cold GOP block on the one in-flight decode instead of repeating it.
-/// Thread-safe (one mutex, held only for bookkeeping, never across a
-/// decode); entries are immutable once published.
+/// cold GOP share the one in-flight decode, its frames or its error, instead
+/// of repeating it. Thread-safe; the LruCache rules apply (common/lru_cache.h).
 class GopCache {
  public:
   explicit GopCache(const GopCacheOptions& options = {});
-  ~GopCache();
 
   GopCache(const GopCache&) = delete;
   GopCache& operator=(const GopCache&) = delete;
@@ -52,7 +45,7 @@ class GopCache {
   static GopCache& Global();
 
   /// How a Get was satisfied.
-  enum class Outcome { kHit, kMiss, kCoalesced };
+  using Outcome = LruOutcome;
 
   /// Returns the decoded GOP of `encoded` starting at frame `start` and
   /// spanning `count` frames, decoding it (serially — GOPs are the unit of
@@ -62,21 +55,24 @@ class GopCache {
                                                   int count,
                                                   Outcome* outcome = nullptr);
 
-  /// Drops every ready entry (in-flight decodes complete uncached).
-  void Clear();
+  /// Drops every ready entry (a decode in flight still publishes).
+  void Clear() { lru_.Clear(); }
 
-  int64_t capacity_bytes() const { return capacity_bytes_; }
+  int64_t capacity_bytes() const { return lru_.capacity_bytes(); }
 
-  GopCacheStats stats() const;
+  GopCacheStats stats() const { return lru_.stats(); }
 
  private:
-  struct State;
+  struct Key {
+    uint64_t identity = 0;
+    int start = 0;
+    bool operator==(const Key& other) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const;
+  };
 
-  /// Evicts LRU entries until the ready entries fit the byte budget.
-  void EvictLocked();
-
-  const int64_t capacity_bytes_;
-  std::unique_ptr<State> state_;
+  LruCache<Key, DecodedGop, KeyHash> lru_;
 };
 
 /// Full-bitstream identity hash (dimensions, profile, every payload byte) for

@@ -47,9 +47,8 @@ video::Frame RenderCaptionFrame(int width, int height,
   return frame;
 }
 
-std::vector<uint8_t> SerializeDetections(
-    const std::vector<std::vector<Detection>>& per_frame) {
-  ByteWriter writer;
+void WriteDetections(ByteWriter& writer,
+                     const std::vector<std::vector<Detection>>& per_frame) {
   writer.U32(static_cast<uint32_t>(per_frame.size()));
   for (const auto& detections : per_frame) {
     writer.U32(static_cast<uint32_t>(detections.size()));
@@ -63,14 +62,11 @@ std::vector<uint8_t> SerializeDetections(
       writer.I32(d.entity_id);
     }
   }
-  return writer.Take();
 }
 
-StatusOr<std::vector<std::vector<Detection>>> ParseDetections(
-    const std::vector<uint8_t>& bytes) {
+StatusOr<std::vector<std::vector<Detection>>> ReadDetections(ByteCursor& cursor) {
   constexpr size_t kFrameBytes = 4;       // The frame's U32 count.
   constexpr size_t kDetectionBytes = 29;  // U8 + 4 x I32 + F64 + I32.
-  ByteCursor cursor(bytes);
   const uint32_t frame_count = cursor.Count(kFrameBytes);
   if (!cursor.ok()) return Status::DataLoss("detection frame count exceeds the payload");
   std::vector<std::vector<Detection>> per_frame;
@@ -91,8 +87,20 @@ StatusOr<std::vector<std::vector<Detection>>> ParseDetections(
     per_frame.push_back(std::move(detections));
     if (!cursor.ok()) return Status::DataLoss("truncated detection payload");
   }
-  if (!cursor.ok()) return Status::DataLoss("truncated detection payload");
   return per_frame;
+}
+
+std::vector<uint8_t> SerializeDetections(
+    const std::vector<std::vector<Detection>>& per_frame) {
+  ByteWriter writer;
+  WriteDetections(writer, per_frame);
+  return writer.Take();
+}
+
+StatusOr<std::vector<std::vector<Detection>>> ParseDetections(
+    const std::vector<uint8_t>& bytes) {
+  ByteCursor cursor(bytes);
+  return ReadDetections(cursor);
 }
 
 }  // namespace visualroad::vision

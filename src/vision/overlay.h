@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/serialize.h"
 #include "video/webvtt.h"
 #include "vision/miniyolo.h"
 
@@ -18,6 +19,17 @@ video::Frame RenderDetectionFrame(int width, int height,
 video::Frame RenderCaptionFrame(int width, int height,
                                 const video::WebVttDocument& captions,
                                 double seconds);
+
+/// The one byte layout of a per-frame detection list: a U32 frame count,
+/// then per frame a U32 detection count and each detection's class, box,
+/// score and entity id. The BOXS track, the ExecuteRange response and the
+/// semantic-cache entry all write it.
+void WriteDetections(ByteWriter& writer,
+                     const std::vector<std::vector<Detection>>& per_frame);
+
+/// Reads a list written by WriteDetections; DataLoss when a count exceeds
+/// the bytes left or the bytes run out.
+StatusOr<std::vector<std::vector<Detection>>> ReadDetections(ByteCursor& cursor);
 
 /// Serialises detections for the VCD's "serialized sequence of bounding box
 /// class identifiers and coordinates" Q6(a) input variant.

@@ -200,8 +200,6 @@ TEST(ProtocolDecodeTest, DetectionCountsBeyondPayloadAreDataLoss) {
   entry.U64(7);
   entry.Str("");
   entry.F64(0.5);
-  entry.I32(0);
-  entry.I32(1);
   entry.I32(96);
   entry.I32(54);
   entry.F64(15.0);
@@ -224,8 +222,6 @@ TEST(CacheShippingTest, CacheEntriesRoundTrip) {
   entry.key.stream = 0xABCDEF0123ull;
   entry.key.model = "miniyolo/test/v1";
   entry.key.threshold = 0.25;
-  entry.range.first = 3;
-  entry.range.count = 2;
   entry.width = 96;
   entry.height = 54;
   entry.fps = 15.0;
@@ -250,8 +246,6 @@ TEST(CacheShippingTest, CacheEntriesRoundTrip) {
   EXPECT_EQ(got.key.stream, entry.key.stream);
   EXPECT_EQ(got.key.model, entry.key.model);
   EXPECT_EQ(got.key.threshold, entry.key.threshold);
-  EXPECT_EQ(got.range.first, 3);
-  EXPECT_EQ(got.range.count, 2);
   EXPECT_EQ(got.width, 96);
   EXPECT_EQ(got.height, 54);
   EXPECT_EQ(got.fps, 15.0);

@@ -269,18 +269,17 @@ TEST(MetricsDocsSyncTest, EveryRegisteredMetricIsDocumented) {
     fs::remove_all(root, ec);
   }
 
-  // Semantic result store (vr_semcache_*): one insert and one covering
-  // probe registers the whole instrument family.
+  // Semantic result store (vr_semcache_*): one insert and one lookup
+  // registers the whole instrument family.
   {
     queries::SemanticCache semcache;
     queries::SemanticEntry entry;
     entry.key.stream = 0x5e;
     entry.key.model = "metrics-test";
-    entry.range = {0, 4};
     entry.detections.resize(4);
     entry.RecomputeBytes();
     semcache.Insert(std::move(entry));
-    EXPECT_NE(semcache.Probe({0x5e, "metrics-test", 0.0}, {0, 4}), nullptr);
+    EXPECT_NE(semcache.Peek({0x5e, "metrics-test", 0.0}), nullptr);
   }
 
   std::ifstream docs(std::string(VISUALROAD_SOURCE_DIR) +
