@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <set>
 
 #include "driver/datasets.h"
 #include "driver/validation.h"
 #include "queries/reference.h"
 #include "queries/semantic_cache.h"
+#include "storage/sharded_store.h"
 #include "systems/vdbms.h"
 #include "video/codec/gop_cache.h"
 #include "video/image_ops.h"
@@ -578,6 +580,72 @@ TEST(TrackingDeterministicTest, CacheWarmedByQ2cSkipsTheDetector) {
     EXPECT_EQ(video::codec::StreamIdentity(output->video), kPinnedEngineQ8)
         << engine->name();
   }
+}
+
+/// Entries also reach a semantic cache from store files, whose reader cannot
+/// know a stream's frame count. A persisted entry short of its stream is not
+/// served: the plan stays cold, and Q8 and Q2(c) each recompute the stream's
+/// detections, produce what they produce without it, and replace it.
+TEST(TrackingDeterministicTest, PersistedEntryShortOfItsStreamIsRecomputed) {
+  sim::Dataset dataset = MakeSyntheticTrackingDataset("KR7W2P", 3, 8);
+  const std::string root =
+      (std::filesystem::temp_directory_path() / "vr_semcache_short_entry_test")
+          .string();
+  std::filesystem::remove_all(root);
+  storage::StoreOptions store_options;
+  store_options.root = root;
+  auto store = storage::ShardedStore::Open(store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  SemanticCacheOptions cache_options;
+  cache_options.store = &*store;
+
+  QueryInstance boxes;
+  boxes.id = QueryId::kQ2c;
+  QueryInstance track;
+  track.id = QueryId::kQ8;
+  track.q8_plate = "KR7W2P";
+  auto make_engine = [](video::codec::GopCache& gops, SemanticCache& semantic) {
+    systems::EngineOptions options;
+    options.detector.base_recall = 0.999;
+    options.detector.box_jitter = 0.01;
+    options.gop_cache = &gops;
+    options.semantic_cache = &semantic;
+    return systems::MakePipelineEngine(options);
+  };
+
+  // Q2(c) into an empty cache materializes the stream's entry; persist a copy
+  // cut to half the stream under the same key.
+  video::codec::GopCache seed_gops;
+  SemanticCache seeded(cache_options);
+  auto expected_boxes = make_engine(seed_gops, seeded)
+                            ->Execute(boxes, dataset, systems::OutputMode::kWrite, "");
+  ASSERT_TRUE(expected_boxes.ok()) << expected_boxes.status().ToString();
+  ASSERT_EQ(seeded.Snapshot().size(), 1u);
+  SemanticEntry cut = *seeded.Snapshot()[0];
+  const size_t frames = cut.detections.size();
+  ASSERT_EQ(frames, 12u);
+  cut.detections.resize(frames / 2);
+  seeded.Insert(cut);
+  ASSERT_TRUE(seeded.Persist().ok());
+
+  for (const QueryInstance& query : {track, boxes}) {
+    video::codec::GopCache gops;
+    SemanticCache recovered(cache_options);
+    ASSERT_TRUE(recovered.LoadPersisted().ok());
+    ASSERT_EQ(recovered.Peek(cut.key)->detections.size(), frames / 2);
+    std::unique_ptr<systems::Vdbms> engine = make_engine(gops, recovered);
+    const std::string plan = engine->Explain(boxes, dataset);
+    EXPECT_NE(plan.find("semcache=cold"), std::string::npos) << plan;
+    auto output = engine->Execute(query, dataset, systems::OutputMode::kWrite, "");
+    ASSERT_TRUE(output.ok()) << output.status().ToString();
+    const uint64_t expected = query.id == QueryId::kQ8
+                                  ? kPinnedEngineQ8
+                                  : video::codec::StreamIdentity(expected_boxes->video);
+    EXPECT_EQ(video::codec::StreamIdentity(output->video), expected)
+        << QueryName(query.id);
+    EXPECT_EQ(recovered.Peek(cut.key)->detections.size(), frames);
+  }
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace
