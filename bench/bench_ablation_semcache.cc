@@ -208,7 +208,14 @@ int Run() {
     return 1;
   }
   queries::SemanticCacheStats cache_stats = semcache.stats();
+  const RunContext context = CurrentRunContext();
   out << "{\n"
+      << "  \"context\": {\n"
+      << "    \"host_name\": \"" << context.host_name << "\",\n"
+      << "    \"num_cpus\": " << context.num_cpus << ",\n"
+      << "    \"build_type\": \"" << context.build_type << "\",\n"
+      << "    \"commit\": \"" << context.commit << "\"\n"
+      << "  },\n"
       << "  \"q2c\": {\n"
       << "    \"frames\": " << dataset->assets[0].container.video.FrameCount()
       << ",\n"

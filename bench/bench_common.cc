@@ -1,7 +1,10 @@
 #include "bench_common.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -99,6 +102,31 @@ StatusOr<sim::Dataset> MakeBenchDataset(int scale_factor, int width, int height,
   options.codec.qp = 26;
   options.codec.gop_length = 15;
   return driver::PrepareDataset(config, options);
+}
+
+RunContext CurrentRunContext() {
+  RunContext context;
+  char host[256] = {};
+  if (gethostname(host, sizeof(host) - 1) == 0) context.host_name = host;
+  context.num_cpus = static_cast<int>(std::thread::hardware_concurrency());
+#ifdef NDEBUG
+  context.build_type = "optimized (NDEBUG)";
+#else
+  context.build_type = "debug (assertions on)";
+#endif
+  context.commit = "unknown";
+  const std::string command =
+      std::string("git -C '") + VISUALROAD_SOURCE_DIR + "' rev-parse HEAD 2>/dev/null";
+  if (FILE* git = popen(command.c_str(), "r")) {
+    char line[128] = {};
+    const bool read = std::fgets(line, sizeof(line), git) != nullptr;
+    if (pclose(git) == 0 && read) {
+      std::string sha(line);
+      while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+      if (!sha.empty()) context.commit = sha;
+    }
+  }
+  return context;
 }
 
 void PrintBanner(const std::string& title, const std::string& subtitle) {

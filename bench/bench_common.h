@@ -41,6 +41,19 @@ driver::VcdOptions BenchVcdOptions();
 StatusOr<sim::Dataset> MakeBenchDataset(int scale_factor, int width, int height,
                                         double duration_seconds, uint64_t seed);
 
+/// Where and how a bench binary ran, recorded as the "context" of its BENCH
+/// JSON so a figure can be traced to a host, a build and a commit.
+struct RunContext {
+  std::string host_name;
+  int num_cpus = 0;
+  /// "optimized (NDEBUG)" or "debug (assertions on)": this binary's build.
+  std::string build_type;
+  /// `git rev-parse HEAD` of the source tree, read at run time; "unknown"
+  /// when that fails (e.g. a checkout without its .git).
+  std::string commit;
+};
+RunContext CurrentRunContext();
+
 /// Prints a section banner matching the paper artefact being reproduced.
 /// Also installs the at-exit observability dump: set VR_TRACE_PATH and/or
 /// VR_METRICS in the environment to receive a Chrome trace / Prometheus

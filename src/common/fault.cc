@@ -71,7 +71,6 @@ std::string_view SiteName(Site site) {
     case Site::kRtpLoss: return "rtp_loss";
     case Site::kRtpReorder: return "rtp_reorder";
     case Site::kRtpJitter: return "rtp_jitter";
-    case Site::kTranscodeStall: return "transcode_stall";
     case Site::kRpcSend: return "rpc_send";
     case Site::kWorkerCrash: return "worker_crash";
   }
@@ -91,15 +90,14 @@ StatusOr<FaultProfile> ProfileByName(std::string_view name) {
   }
   if (name == "flaky") {
     // Transient storage trouble dominates: reads flap and retry, a few
-    // replica writes fail over to another node, transcodes sometimes stall
-    // past their deadline, and the channel drops the odd packet.
+    // replica writes fail over to another node, and the channel drops the
+    // odd packet.
     p.prob(Site::kStoreReadFlap) = 0.35;
     p.prob(Site::kStoreSlowRead) = 0.05;
     p.prob(Site::kStoreWriteFail) = 0.05;
     p.prob(Site::kRtpLoss) = 0.05;
     p.prob(Site::kRtpReorder) = 0.02;
     p.prob(Site::kRtpJitter) = 0.05;
-    p.prob(Site::kTranscodeStall) = 0.30;
     return p;
   }
   if (name == "lossy") {
@@ -108,13 +106,6 @@ StatusOr<FaultProfile> ProfileByName(std::string_view name) {
     p.prob(Site::kRtpLoss) = 0.20;
     p.prob(Site::kRtpReorder) = 0.10;
     p.prob(Site::kRtpJitter) = 0.20;
-    return p;
-  }
-  if (name == "degraded") {
-    // Every transcode stalls: forces the VSS degradation path on each
-    // transcode-on-read, with moderate read flap underneath.
-    p.prob(Site::kTranscodeStall) = 1.0;
-    p.prob(Site::kStoreReadFlap) = 0.15;
     return p;
   }
   if (name == "cluster") {
@@ -129,7 +120,7 @@ StatusOr<FaultProfile> ProfileByName(std::string_view name) {
   }
   return Status::InvalidArgument(
       "unknown fault profile '" + std::string(name) +
-      "' (choose none, flaky, lossy, degraded, or cluster)");
+      "' (choose none, flaky, lossy, or cluster)");
 }
 
 FaultInjector::FaultInjector(FaultProfile profile, uint64_t seed)
@@ -164,7 +155,6 @@ bool FaultInjector::MaybeDelay(Site site) {
   switch (site) {
     case Site::kStoreSlowRead: delay = profile_.slow_read_delay; break;
     case Site::kRtpJitter: delay = profile_.jitter_delay; break;
-    case Site::kTranscodeStall: delay = profile_.transcode_stall_delay; break;
     default: break;
   }
   if (delay.count() > 0) std::this_thread::sleep_for(delay);

@@ -25,11 +25,10 @@ enum class Site {
   kRtpLoss,             // An RTP packet (or online frame) lost in the channel.
   kRtpReorder,          // An RTP packet delivered one slot late.
   kRtpJitter,           // Network delay on an online frame delivery.
-  kTranscodeStall,      // A VSS transcode-on-read that stalls past its deadline.
   kRpcSend,             // A distributed RPC frame lost/failed on send.
   kWorkerCrash,         // A worker process killed before a dispatch lands.
 };
-inline constexpr int kSiteCount = 9;
+inline constexpr int kSiteCount = 8;
 
 /// Stable lower_snake label for a site ("store_read_flap", ...). Used for
 /// substream derivation, metric labels, and trace span names.
@@ -44,7 +43,6 @@ struct FaultProfile {
   // Delay magnitudes, deliberately small so faulty runs stay fast.
   std::chrono::microseconds slow_read_delay{2000};
   std::chrono::microseconds jitter_delay{1000};
-  std::chrono::microseconds transcode_stall_delay{5000};
 
   double& prob(Site site) { return probability[static_cast<int>(site)]; }
   double prob(Site site) const { return probability[static_cast<int>(site)]; }
@@ -53,8 +51,8 @@ struct FaultProfile {
 };
 
 /// Looks up a named profile: "none", "flaky" (transient storage faults plus
-/// mild channel loss), "lossy" (heavy RTP loss/reorder/jitter), "degraded"
-/// (every transcode stalls past its deadline). Unknown names are an error
+/// mild channel loss), "lossy" (heavy RTP loss/reorder/jitter), "cluster"
+/// (RPC send failures and worker crashes). Unknown names are an error
 /// listing the valid choices.
 StatusOr<FaultProfile> ProfileByName(std::string_view name);
 
@@ -146,17 +144,16 @@ int64_t TotalGiveups();
 int64_t ThreadRetries();
 
 /// Degraded deliveries recorded by code running on the current thread:
-/// online freeze-frame concealment and VSS reads served past the transcode
-/// deadline both call NoteDegraded() at their existing increment sites, which
-/// all run on the reading caller's own thread. Bracketing an instance with
-/// two reads therefore counts each degraded frame exactly once, regardless
-/// of which other batches share the storage service. The exported views
-/// remain vr_vss_degraded_reads_total and vr_rtp_frames_concealed_total.
+/// online freeze-frame concealment calls NoteDegraded() at its increment
+/// site, which runs on the reading caller's own thread. Bracketing an
+/// instance with two reads therefore counts each degraded frame exactly
+/// once, regardless of which other threads read concurrently. The exported
+/// view remains vr_rtp_frames_concealed_total.
 int64_t ThreadDegraded();
 
 /// Records `count` degraded deliveries against the current thread. Called by
-/// the degrade sites (VSS, online sources); not a metric — the sites keep
-/// their own registry instruments.
+/// the degrade site (online sources); not a metric — the site keeps its own
+/// registry instrument.
 void NoteDegraded(int64_t count = 1);
 
 }  // namespace visualroad::fault

@@ -178,8 +178,6 @@ std::vector<uint8_t> EncodeWorkerSetup(const WorkerSetup& setup) {
   writer.U64(static_cast<uint64_t>(options.memory_budget_bytes));
   writer.U64(static_cast<uint64_t>(options.memory_fail_bytes));
   writer.I32(options.threads);
-  writer.I32(options.output_qp);
-  writer.U8(static_cast<uint8_t>(options.output_profile));
   writer.I32(options.codec_threads);
   WriteDetectorOptions(writer, setup.detector);
   writer.Str(setup.store_root);
@@ -199,8 +197,6 @@ StatusOr<WorkerSetup> DecodeWorkerSetup(const std::vector<uint8_t>& bytes) {
   options.memory_budget_bytes = static_cast<int64_t>(cursor.U64());
   options.memory_fail_bytes = static_cast<int64_t>(cursor.U64());
   options.threads = cursor.I32();
-  options.output_qp = cursor.I32();
-  options.output_profile = static_cast<video::codec::Profile>(cursor.U8());
   options.codec_threads = cursor.I32();
   setup.detector = ReadDetectorOptions(cursor);
   setup.store_root = cursor.Str();

@@ -14,7 +14,7 @@ namespace visualroad::dist {
 /// every frame header. A version bump is a handshake-time rejection, not a
 /// silent parse divergence.
 inline constexpr uint32_t kRpcMagic = 0x43505256;  // 'V''R''P''C' in LE bytes.
-inline constexpr uint8_t kRpcVersion = 3;
+inline constexpr uint8_t kRpcVersion = 4;
 
 /// Hard ceiling on a frame payload. A header announcing more than this is
 /// rejected before any payload allocation — the defense against a corrupt or

@@ -108,8 +108,6 @@ StatusOr<std::vector<uint8_t>> HandleSetup(const WorkerServerOptions& options,
     VR_ASSIGN_OR_RETURN(next->dataset, options.dataset_loader(*next->store));
     storage::VssOptions vss_options;
     vss_options.store = next->store.get();
-    // 0 disables persisting transcode results: reads never write back.
-    vss_options.variant_cache_bytes = 0;
     VR_ASSIGN_OR_RETURN(next->vss, storage::VideoStorageService::Open(vss_options));
     engine_options.vss = next->vss.get();
     WorkerMetrics::Get().stagings.Increment();

@@ -5,6 +5,7 @@
 
 #include "common/serialize.h"
 #include "simulation/ground_truth.h"
+#include "video/codec/gop_cache.h"
 
 namespace visualroad::driver {
 
@@ -162,7 +163,9 @@ Status IngestDatasetVss(const sim::Dataset& dataset,
     const std::string name = storage::CameraStreamName(asset.camera.camera_id);
     if (vss.Contains(name)) {
       VR_ASSIGN_OR_RETURN(storage::CatalogEntry entry, vss.Describe(name));
-      if (entry.frame_count == asset.container.video.FrameCount()) continue;
+      if (entry.identity == video::codec::StreamIdentity(asset.container.video)) {
+        continue;
+      }
     }
     VR_RETURN_IF_ERROR(vss.Ingest(name, asset.container.video));
   }

@@ -27,10 +27,10 @@ Status SaveDatasetSharded(const sim::Dataset& dataset,
 /// Loads a dataset from a sharded store.
 StatusOr<sim::Dataset> LoadDatasetSharded(const storage::ShardedStore& store);
 
-/// Ingests every camera video of `dataset` into the storage service as its
-/// base variant, named CameraStreamName(camera_id). Streams the service
-/// already holds at the same frame count are left untouched, so re-staging
-/// a dataset is idempotent and keeps cached transcoded variants.
+/// Ingests every camera video of `dataset` into the storage service, named
+/// CameraStreamName(camera_id). A stream the service already holds with the
+/// same StreamIdentity is left untouched, so re-staging a dataset writes
+/// nothing, and staging another dataset over a store replaces its streams.
 Status IngestDatasetVss(const sim::Dataset& dataset,
                         storage::VideoStorageService& vss);
 

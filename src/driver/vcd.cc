@@ -498,14 +498,11 @@ Status VisualCityDriver::StageClusterDataset() {
         "storage staging needs a store-backed VSS");
   }
   TRACE_SPAN("dist:stage");
-  // Idempotent: a manifest already describing this many assets means a prior
-  // run (or a prior EnsureCluster) staged the same deterministic corpus.
+  // Idempotent: a stored manifest byte-identical to this dataset's means a
+  // prior run (or a prior EnsureCluster) staged this very corpus.
   StatusOr<std::vector<uint8_t>> manifest = store->Get("dataset.vrds");
-  if (manifest.ok()) {
-    StatusOr<sim::Dataset> existing = ParseDatasetManifest(*manifest);
-    if (existing.ok() && existing->assets.size() == dataset_->assets.size()) {
-      return Status::Ok();
-    }
+  if (manifest.ok() && *manifest == SerializeDatasetManifest(*dataset_)) {
+    return Status::Ok();
   }
   return SaveDatasetSharded(*dataset_, *store);
 }

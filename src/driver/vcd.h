@@ -70,9 +70,9 @@ struct VcdOptions {
   storage::VideoStorageService* storage = nullptr;
   /// Deterministic fault injection for the run (borrowed; null = no
   /// faults). Online sources consume channel loss/jitter from it; storage
-  /// and VSS faults flow through the services configured with the same
-  /// injector. The per-batch retry and degraded-frame accounting in
-  /// QueryBatchResult is populated whenever this is set.
+  /// faults flow through the store configured with the same injector. The
+  /// per-batch retry and degraded-frame accounting in QueryBatchResult is
+  /// populated whenever this is set.
   fault::FaultInjector* faults = nullptr;
   /// Capture each batch's execution plan (`vcd --explain`): before the
   /// measured window, the engine explains the batch's first instance and
@@ -150,11 +150,10 @@ struct QueryBatchResult {
   /// (measured window plus validation). Empty when tracing is disabled.
   std::vector<trace::SpanTotal> stage_breakdown;
   /// Frames delivered degraded during the measured window: freeze-frame
-  /// repeats from online sources plus VSS reads served past the transcode
-  /// deadline. Counted per instance from the thread-scoped accounting
-  /// (fault::ThreadDegraded), so each degraded frame is attributed exactly
-  /// once even when other batches share the storage service concurrently.
-  /// Zero on a fault-free run.
+  /// repeats from online sources. Counted per instance from the
+  /// thread-scoped accounting (fault::ThreadDegraded), so each degraded
+  /// frame is attributed exactly once even when other threads read
+  /// concurrently. Zero on a fault-free run.
   int64_t frames_degraded = 0;
   /// Retry attempts (across every RetryPolicy site) during the measured
   /// window, attributed per instance the same way. Zero on a fault-free run.

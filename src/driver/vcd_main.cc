@@ -8,7 +8,6 @@
 // registered Prometheus metric to stdout (see docs/OBSERVABILITY.md).
 
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,7 +67,7 @@ void PrintUsage(const char* argv0) {
       "                    it: pushdown window, semantic-cache temperature,\n"
       "                    and measured-selectivity stage order\n"
       "  --faults NAME     Deterministic fault injection profile (none |\n"
-      "                    flaky | lossy | degraded | cluster; DESIGN.md\n"
+      "                    flaky | lossy | cluster; DESIGN.md\n"
       "                    Section 11). Implies online execution at an\n"
       "                    accelerated rate and storage-backed reads (a temp\n"
       "                    store is created when --storage is not given);\n"
@@ -288,7 +287,7 @@ int Run(int argc, char** argv) {
 
   // Fault injection: resolve the profile, then run online (the channel
   // faults act on the throttled feed) against storage-backed reads (the
-  // store and VSS faults act on the read path). One injector seeded with
+  // store faults act on the read path). One injector seeded with
   // the run seed drives every site, so reruns reproduce the schedule.
   std::unique_ptr<fault::FaultInjector> faults;
   if (!faults_name.empty()) {
@@ -347,11 +346,7 @@ int Run(int argc, char** argv) {
     store = std::make_unique<storage::ShardedStore>(std::move(opened).value());
     storage::VssOptions vss_options;
     vss_options.store = store.get();
-    vss_options.faults = faults.get();
     if (faults != nullptr) {
-      // Reads that stall in transcode past this budget degrade to the
-      // nearest materialized variant instead of blocking the query.
-      vss_options.transcode_deadline = std::chrono::milliseconds(2);
       // The resident cache would absorb every read after staging and the
       // store fault sites would never fire; a fault run is about the read
       // path, so force each read down to the sharded store.

@@ -27,6 +27,11 @@ using video::Video;
 
 namespace {
 
+/// Encoding of query outputs: a low QP keeps them near-lossless, so frame
+/// validation has headroom over the 40 dB threshold.
+constexpr int kOutputQp = 12;
+constexpr video::codec::Profile kOutputProfile = video::codec::Profile::kH264Like;
+
 /// The vr_engine_* counters, each fed by one EngineStats field.
 struct PublishedCounter {
   const char* name;
@@ -129,11 +134,25 @@ void QueryEngine::Quiesce() {
 std::string QueryEngine::Explain(const QueryInstance& instance,
                                  const sim::Dataset& dataset) {
   if (!Supports(instance.id)) return "";
+  std::string out = std::string(name()) + ": ";
+  if (instance.id == QueryId::kQ8) {
+    // Q8 decodes every traffic stream and detects on each through the
+    // semantic cache, as Q7 does on its one stream: one Q7 plan per stream.
+    QueryInstance per_stream = instance;
+    per_stream.id = QueryId::kQ7;
+    std::vector<const sim::VideoAsset*> traffic = dataset.TrafficAssets();
+    for (size_t a = 0; a < traffic.size(); ++a) {
+      queries::QueryPlan plan = queries::PlanQuery(
+          per_stream, PlanContextFor(QueryId::kQ7, traffic[a]->container.video));
+      plan.id = QueryId::kQ8;
+      out += (a > 0 ? "; " : "") + queries::ExplainPlan(plan);
+    }
+    return out;
+  }
   StatusOr<const sim::VideoAsset*> asset = detail::InputAsset(instance, dataset);
   if (!asset.ok()) return "";
-  return std::string(name()) + ": " +
-         queries::ExplainPlan(queries::PlanQuery(
-             instance, PlanContextFor(instance.id, (*asset)->container.video)));
+  return out + queries::ExplainPlan(queries::PlanQuery(
+                   instance, PlanContextFor(instance.id, (*asset)->container.video)));
 }
 
 queries::PlanContext QueryEngine::PlanContextFor(
@@ -183,9 +202,8 @@ StatusOr<Video> QueryEngine::DecodeWindow(const sim::VideoAsset& asset, int firs
                                            gop_cache_, &call.decode);
   }
   const std::string name = storage::CameraStreamName(asset.camera.camera_id);
-  VR_ASSIGN_OR_RETURN(storage::VariantKey tier, options_.vss->BaseTier(name));
   VR_ASSIGN_OR_RETURN(storage::RangeRead range,
-                      options_.vss->ReadRange(name, tier, first, count));
+                      options_.vss->ReadRange(name, first, count));
   return video::codec::CachedDecodeRange(*range.video, first - range.first_frame,
                                          count, gop_cache_, &call.decode);
 }
@@ -254,9 +272,7 @@ StatusOr<std::shared_ptr<const video::codec::EncodedVideo>> QueryEngine::Resolve
     return std::shared_ptr<const video::codec::EncodedVideo>(
         &asset.container.video, [](const video::codec::EncodedVideo*) {});
   }
-  const std::string name = storage::CameraStreamName(asset.camera.camera_id);
-  VR_ASSIGN_OR_RETURN(storage::VariantKey tier, options_.vss->BaseTier(name));
-  return options_.vss->ReadVideo(name, tier);
+  return options_.vss->ReadVideo(storage::CameraStreamName(asset.camera.camera_id));
 }
 
 StatusOr<Video> QueryEngine::Acquire(const sim::VideoAsset& asset, Call& call) {
@@ -279,8 +295,8 @@ Status QueryEngine::Finish(const Video& result, const QueryInstance& instance,
   {
     TRACE_SPAN("encode_output");
     video::codec::EncoderConfig config;
-    config.profile = options_.output_profile;
-    config.qp = options_.output_qp;
+    config.profile = kOutputProfile;
+    config.qp = kOutputQp;
     VR_ASSIGN_OR_RETURN(encoded, video::codec::ParallelEncode(result, config,
                                                               options_.codec_threads));
   }
@@ -438,7 +454,7 @@ StatusOr<QueryOutput> QueryEngine::Run(const QueryInstance& instance,
       VR_ASSIGN_OR_RETURN(result, vision::TiledReencode(input, instance.q3_dx,
                                                         instance.q3_dy,
                                                         instance.q3_bitrates,
-                                                        options_.output_profile));
+                                                        kOutputProfile));
       VR_RETURN_IF_ERROR(Spill(result, call));
       // vr:Q3:end
       break;
@@ -534,7 +550,7 @@ StatusOr<QueryOutput> QueryEngine::Run(const QueryInstance& instance,
                                       stitched, instance.q10_bitrates,
                                       instance.q10_client_width,
                                       instance.q10_client_height,
-                                      options_.output_profile));
+                                      kOutputProfile));
       // vr:Q10:end
       break;
     }

@@ -32,6 +32,8 @@ class QueryEngine : public Vdbms {
                                 const sim::Dataset& dataset, OutputMode mode,
                                 const std::string& output_dir,
                                 EngineStats* call_stats = nullptr) final;
+  /// Q8 reads every traffic stream, so its explanation is one plan per
+  /// traffic stream, in TrafficAssets() order, joined by "; ".
   std::string Explain(const queries::QueryInstance& instance,
                       const sim::Dataset& dataset) final;
   /// Clears the decoded-GOP cache and a private semantic cache.

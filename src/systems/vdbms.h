@@ -44,10 +44,6 @@ struct EngineOptions {
   int64_t memory_fail_bytes = int64_t{768} << 20;
   /// Worker threads for batch-parallel stages.
   int threads = 4;
-  /// QP for encoding query outputs (low = near-lossless, so frame validation
-  /// has headroom over the 40 dB threshold).
-  int output_qp = 12;
-  video::codec::Profile output_profile = video::codec::Profile::kH264Like;
   /// Reference detector settings; engines override input_size per their
   /// architecture.
   vision::DetectorOptions detector;

@@ -49,10 +49,9 @@ Status VideoSource::FillWindow() {
       position_ < window_first_ + window_->FrameCount()) {
     return Status::Ok();
   }
-  VR_ASSIGN_OR_RETURN(storage::VariantKey tier, vss_->BaseTier(name_));
   int count = std::min(readahead_frames_, frame_count_ - position_);
   VR_ASSIGN_OR_RETURN(storage::RangeRead range,
-                      vss_->ReadRange(name_, tier, position_, count));
+                      vss_->ReadRange(name_, position_, count));
   window_ = std::move(range.video);
   window_first_ = range.first_frame;
   return Status::Ok();

@@ -11,7 +11,6 @@
 
 namespace visualroad::storage {
 class VideoStorageService;
-struct VariantKey;
 }  // namespace visualroad::storage
 
 namespace visualroad::systems {
@@ -35,8 +34,8 @@ class VideoSource {
   static VideoSource Online(const video::codec::EncodedVideo* stream,
                             double rate_multiplier = 1.0,
                             fault::FaultInjector* faults = nullptr);
-  /// Storage-backed offline source for logical video `name` at its base
-  /// tier: frames are fetched on demand as GOP-aligned range reads of about
+  /// Storage-backed offline source for logical video `name`: frames are
+  /// fetched on demand as GOP-aligned range reads of about
   /// `readahead_frames` frames, so a seek-and-read touches only the
   /// covering segments. `vss` is borrowed and must outlive the source.
   static StatusOr<VideoSource> StorageOffline(

@@ -1001,6 +1001,55 @@ TEST_F(CoordinatorTest, DriverStagedDistributedBatchValidates) {
   std::filesystem::remove_all(store_options.root);
 }
 
+TEST_F(CoordinatorTest, DriverRestagesAStoreOfAnotherDataset) {
+  // Regression: cluster staging skipped a store whose manifest listed as
+  // many assets, and VSS staging a stream of the same frame count, so
+  // workers attached to a store staged for another city served its streams.
+  sim::CityConfig other_config = config_;
+  other_config.seed = config_.seed + 1;
+  auto other = driver::PrepareDataset(other_config);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+
+  storage::StoreOptions store_options;
+  store_options.root = (std::filesystem::temp_directory_path() /
+                        ("vr-dist-restage-" + std::to_string(::getpid())))
+                           .string();
+  std::filesystem::remove_all(store_options.root);
+  auto opened = storage::ShardedStore::Open(store_options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  storage::ShardedStore store = std::move(opened).value();
+  storage::VssOptions vss_options;
+  vss_options.store = &store;
+  auto vss = storage::VideoStorageService::Open(vss_options);
+  ASSERT_TRUE(vss.ok()) << vss.status().ToString();
+  ASSERT_TRUE(driver::SaveDatasetSharded(*other, store).ok());
+  ASSERT_TRUE(driver::IngestDatasetVss(*other, **vss).ok());
+
+  driver::VcdOptions vcd_options;
+  vcd_options.workers = 2;
+  vcd_options.validate = true;
+  vcd_options.storage = vss->get();
+  systems::EngineOptions engine_options;
+  auto engine = systems::MakePipelineEngine(engine_options);
+  {
+    driver::VisualCityDriver vcd(*dataset_, vcd_options);
+    auto result = vcd.RunQueryBatch(*engine, queries::QueryId::kQ1);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->succeeded, result->instances);
+    EXPECT_GT(result->validation.checked, 0);
+    EXPECT_EQ(result->validation.passed, result->validation.checked);
+  }
+
+  // A second driver over the same dataset finds it staged and writes nothing.
+  const int64_t written = store.stats().bytes_written;
+  driver::VisualCityDriver again(*dataset_, vcd_options);
+  auto result = again.RunQueryBatch(*engine, queries::QueryId::kQ1);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->validation.passed, result->validation.checked);
+  EXPECT_EQ(store.stats().bytes_written, written);
+  std::filesystem::remove_all(store_options.root);
+}
+
 TEST_F(CoordinatorTest, FaultedDriverRunCompletesWithValidResults) {
   // The acceptance scenario: a cluster-profile run that kills workers
   // mid-batch still completes with validated results via re-dispatch.

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -15,6 +16,7 @@
 #include "driver/vcd.h"
 #include "storage/sharded_store.h"
 #include "storage/vss.h"
+#include "systems/video_source.h"
 #include "video/codec/gop_cache.h"
 
 namespace visualroad::driver {
@@ -572,13 +574,14 @@ TEST_F(DriverTest, LossyOnlineBatchReportsDegradedFrames) {
 
 TEST_F(DriverTest, DegradedReadsAttributeToTheReadingThreadOnly) {
   // Regression: the batch accounting used to take a before/after delta of
-  // the *global* degraded counter around the measured window, so degraded
-  // reads issued by an unrelated thread sharing the storage service were
-  // billed to the batch. The thread-scoped accounting must attribute them
-  // to the reading thread and nothing else.
+  // the *global* degraded counter around the measured window, so frames
+  // degraded on an unrelated thread sharing the injector were billed to the
+  // batch. The thread-scoped accounting must attribute them to the reading
+  // thread and nothing else.
   namespace fs = std::filesystem;
-  auto profile = fault::ProfileByName("degraded");
+  auto profile = fault::ProfileByName("lossy");
   ASSERT_TRUE(profile.ok());
+  profile->jitter_delay = std::chrono::microseconds(10);
   fault::FaultInjector injector(*profile, 41);
 
   std::string root = (fs::temp_directory_path() / "vr_driver_degraded").string();
@@ -587,17 +590,11 @@ TEST_F(DriverTest, DegradedReadsAttributeToTheReadingThreadOnly) {
   storage::StoreOptions store_options;
   store_options.root = root;
   store_options.block_size = 8192;
-  store_options.replication = 1;
   store_options.metrics_label = "driver_degraded";
-  store_options.faults = &injector;
-  store_options.read_retry.max_attempts = 10;
   auto store = storage::ShardedStore::Open(store_options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   storage::VssOptions vss_options;
   vss_options.store = &*store;
-  vss_options.faults = &injector;
-  vss_options.transcode_deadline = std::chrono::milliseconds(1);
-  vss_options.resident_bytes = 0;  // Every neighbour read re-degrades.
   auto vss = storage::VideoStorageService::Open(vss_options);
   ASSERT_TRUE(vss.ok()) << vss.status().ToString();
 
@@ -613,22 +610,27 @@ TEST_F(DriverTest, DegradedReadsAttributeToTheReadingThreadOnly) {
   engine_options.vss = vss->get();
   auto engine = systems::MakePipelineEngine(engine_options);
 
-  // A neighbour thread reads a transcode tier whose every attempt stalls
-  // past the deadline, so each read degrades. The batch itself reads only
-  // the base tier and never degrades.
-  const std::string stream = storage::CameraStreamName(
-      dataset_->TrafficAssets().front()->camera.camera_id);
-  storage::VariantKey slow_tier{32, 18, 32};
-  int64_t service_before = (*vss)->stats().degraded_reads;
+  // A neighbour thread drains the online feed of a traffic stream through
+  // the lossy channel, so freeze-frame concealment degrades some of its
+  // frames. The batch itself reads offline through the storage service and
+  // never degrades.
+  const video::codec::EncodedVideo* stream =
+      &dataset_->TrafficAssets().front()->container.video;
   std::atomic<bool> stop{false};
   std::atomic<int64_t> neighbor_degraded{0};
+  std::atomic<int64_t> sources_degraded{0};
   std::thread neighbor([&] {
     int64_t before = fault::ThreadDegraded();
-    int reads = 0;
-    while ((!stop.load() || reads < 4) && reads < 64) {
-      auto read = (*vss)->ReadVideo(stream, slow_tier);
-      ASSERT_TRUE(read.ok()) << read.status().ToString();
-      ++reads;
+    int drains = 0;
+    while ((!stop.load() || drains < 4) && drains < 64) {
+      systems::VideoSource source =
+          systems::VideoSource::Online(stream, 10000.0, &injector);
+      while (!source.AtEnd()) {
+        auto frame = source.Next();
+        ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      }
+      sources_degraded += source.frames_degraded();
+      ++drains;
     }
     neighbor_degraded = fault::ThreadDegraded() - before;
   });
@@ -637,12 +639,59 @@ TEST_F(DriverTest, DegradedReadsAttributeToTheReadingThreadOnly) {
   neighbor.join();
 
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  int64_t service_delta = (*vss)->stats().degraded_reads - service_before;
   EXPECT_GT(neighbor_degraded.load(), 0);
-  // Every degraded read the service saw belongs to the neighbour thread...
-  EXPECT_EQ(neighbor_degraded.load(), service_delta);
+  // Every frame the neighbour's sources degraded is billed to the neighbour...
+  EXPECT_EQ(neighbor_degraded.load(), sources_degraded.load());
   // ...and none of them leaked into the batch's robustness accounting.
   EXPECT_EQ(result->frames_degraded, 0);
+  fs::remove_all(root, ec);
+}
+
+TEST_F(DriverTest, StagingOverAnotherDatasetServesTheNewStreams) {
+  // Regression: staging skipped a stream whose catalog entry had the same
+  // frame count, so a store reused for another city kept serving the old
+  // streams and every query validated against the wrong video.
+  namespace fs = std::filesystem;
+  sim::CityConfig other_config = dataset_->config;
+  other_config.seed = dataset_->config.seed + 1;
+  auto other = PrepareDataset(other_config);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+
+  std::string root = (fs::temp_directory_path() /
+                      ("vr_driver_restage_" + std::to_string(::getpid())))
+                         .string();
+  std::error_code ec;
+  fs::remove_all(root, ec);
+  storage::StoreOptions store_options;
+  store_options.root = root;
+  store_options.block_size = 8192;
+  store_options.metrics_label = "driver_restage";
+  auto store = storage::ShardedStore::Open(store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  storage::VssOptions vss_options;
+  vss_options.store = &*store;
+  auto vss = storage::VideoStorageService::Open(vss_options);
+  ASSERT_TRUE(vss.ok()) << vss.status().ToString();
+
+  VcdOptions options;
+  options.batch_size_override = 2;
+  options.storage = vss->get();
+  ASSERT_TRUE(VisualCityDriver(*other, options).StageStorage().ok());
+
+  VisualCityDriver vcd(*dataset_, options);
+  ASSERT_TRUE(vcd.StageStorage().ok());
+  systems::EngineOptions engine_options;
+  engine_options.vss = vss->get();
+  auto engine = systems::MakePipelineEngine(engine_options);
+  auto result = vcd.RunQueryBatch(*engine, QueryId::kQ1);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->validation.checked, 0);
+  EXPECT_EQ(result->validation.passed, result->validation.checked);
+
+  // Staging the same dataset again writes nothing.
+  const int64_t written = store->stats().bytes_written;
+  ASSERT_TRUE(vcd.StageStorage().ok());
+  EXPECT_EQ(store->stats().bytes_written, written);
   fs::remove_all(root, ec);
 }
 

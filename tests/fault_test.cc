@@ -21,7 +21,7 @@ TEST(FaultProfileTest, NamedProfilesResolve) {
   auto none = ProfileByName("none");
   ASSERT_TRUE(none.ok());
   EXPECT_FALSE(none->any());
-  for (const char* name : {"flaky", "lossy", "degraded"}) {
+  for (const char* name : {"flaky", "lossy"}) {
     auto profile = ProfileByName(name);
     ASSERT_TRUE(profile.ok()) << name;
     EXPECT_TRUE(profile->any()) << name;
@@ -232,8 +232,8 @@ class FaultServiceTest : public ::testing::Test {
 int FaultServiceTest::counter_ = 0;
 
 /// Acceptance: with faults disabled, attaching a "none" injector changes no
-/// result byte anywhere — store reads, VSS reads (base and transcode tier),
-/// and the online feed all match a build with no injector at all.
+/// result byte anywhere — store reads, VSS reads and the online feed all
+/// match a build with no injector at all.
 TEST_F(FaultServiceTest, FaultsOffIsByteIdenticalToNoInjector) {
   auto none = fault::ProfileByName("none");
   ASSERT_TRUE(none.ok());
@@ -250,24 +250,17 @@ TEST_F(FaultServiceTest, FaultsOffIsByteIdenticalToNoInjector) {
   ASSERT_TRUE(plain.ok());
   VssOptions faulty_options;
   faulty_options.store = faulty_store.get();
-  faulty_options.faults = &injector;
   auto faulty = VideoStorageService::Open(faulty_options);
   ASSERT_TRUE(faulty.ok());
 
   ASSERT_TRUE((*plain)->Ingest("cam", original).ok());
   ASSERT_TRUE((*faulty)->Ingest("cam", original).ok());
 
-  auto base = (*plain)->BaseTier("cam");
-  ASSERT_TRUE(base.ok());
-  VariantKey transcode_tier{32, 18, 32};
-  for (const VariantKey& tier : {*base, transcode_tier}) {
-    auto a = (*plain)->ReadVideo("cam", tier);
-    auto b = (*faulty)->ReadVideo("cam", tier);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_TRUE(SameBitstream(**a, **b));
-  }
-  EXPECT_EQ((*faulty)->stats().degraded_reads, 0);
+  auto a = (*plain)->ReadVideo("cam");
+  auto b = (*faulty)->ReadVideo("cam");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_TRUE(SameBitstream(**a, **b));
 
   // The online feed delivers the identical frame sequence.
   systems::VideoSource clean =
@@ -321,50 +314,9 @@ TEST_F(FaultServiceTest, FlakyReadsRetryToTheSameBytes) {
   EXPECT_EQ(first.write_replacements, second.write_replacements);
 }
 
-/// Satellite: eviction and compaction racing single-flight materialization
-/// under a tiny variant budget. Run under TSan (preset tsan-faults) this
-/// shreds the pins_/inflight_/eviction interlock; everywhere it must simply
-/// produce correct reads.
-TEST_F(FaultServiceTest, EvictionRacesSingleFlightWithoutCorruption) {
-  auto store = OpenStore("race");
-  VssOptions options;
-  options.store = store.get();
-  options.variant_cache_bytes = 1;  // Every persisted variant evicts at once.
-  options.resident_bytes = 0;       // Every read goes back to the store.
-  auto vss = VideoStorageService::Open(options);
-  ASSERT_TRUE(vss.ok());
-  EncodedVideo original = MakeStream(8, 64, 36, 4, 31);
-  ASSERT_TRUE((*vss)->Ingest("cam", original).ok());
-
-  constexpr int kThreads = 6;
-  constexpr int kRounds = 4;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        // Rotate through tiers so materializations, evictions, and compaction
-        // keep overlapping instead of settling into resident hits.
-        VariantKey tier{32, 18, 28 + (t + round) % 3 * 4};
-        auto read = (*vss)->ReadVideo("cam", tier);
-        if (!read.ok()) {
-          ++failures;
-          continue;
-        }
-        if ((*read)->FrameCount() != original.FrameCount()) ++failures;
-        (void)(*vss)->Compact();
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-  // The tiny budget forced eviction activity while flights were landing.
-  EXPECT_GT((*vss)->stats().variants_evicted, 0);
-}
-
 /// Satellite: Ingest replacing a video while readers stream it. Readers may
 /// observe the old or the new video, or a clean error — never a crash, hang,
-/// or torn read. Exercises the deferred-delete path for pinned variants.
+/// or torn read.
 TEST_F(FaultServiceTest, IngestDuringConcurrentReadsStaysCoherent) {
   auto store = OpenStore("ingest_race");
   VssOptions options;
@@ -375,8 +327,6 @@ TEST_F(FaultServiceTest, IngestDuringConcurrentReadsStaysCoherent) {
   EncodedVideo first = MakeStream(8, 64, 36, 4, 41);
   EncodedVideo second = MakeStream(12, 64, 36, 4, 42);
   ASSERT_TRUE((*vss)->Ingest("cam", first).ok());
-  auto tier = (*vss)->BaseTier("cam");
-  ASSERT_TRUE(tier.ok());
 
   std::atomic<bool> stop{false};
   std::atomic<int> incoherent{0};
@@ -384,7 +334,7 @@ TEST_F(FaultServiceTest, IngestDuringConcurrentReadsStaysCoherent) {
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
       while (!stop.load()) {
-        auto range = (*vss)->ReadRange("cam", *tier, 0, 4);
+        auto range = (*vss)->ReadRange("cam", 0, 4);
         if (!range.ok()) continue;  // Clean error during replacement is fine.
         if (range->video->FrameCount() < 4) ++incoherent;
       }
@@ -397,7 +347,7 @@ TEST_F(FaultServiceTest, IngestDuringConcurrentReadsStaysCoherent) {
   for (std::thread& thread : readers) thread.join();
   EXPECT_EQ(incoherent.load(), 0);
   // The final catalog state reads back cleanly.
-  auto read = (*vss)->ReadVideo("cam", *tier);
+  auto read = (*vss)->ReadVideo("cam");
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_TRUE(SameBitstream(**read, first));
 }
@@ -413,8 +363,8 @@ TEST_F(FaultServiceTest, SingleFlightWaitersObserveLeaderFailure) {
   ASSERT_TRUE(vss.ok());
   ASSERT_TRUE((*vss)->Ingest("cam", MakeStream(8, 64, 36, 4, 51)).ok());
 
-  // Kill enough datanodes that the base fetch cannot be served: every
-  // leader's materialization fails, and every waiter must see that failure.
+  // Kill enough datanodes that the fetch cannot be served: every leader's
+  // fetch fails, and every waiter must see that failure.
   for (int node = 0; node < 3; ++node) {
     ASSERT_TRUE(store->DisableNode(node).ok());
   }
@@ -423,7 +373,7 @@ TEST_F(FaultServiceTest, SingleFlightWaitersObserveLeaderFailure) {
   std::atomic<int> errors{0};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      auto read = (*vss)->ReadVideo("cam", VariantKey{32, 18, 32});
+      auto read = (*vss)->ReadVideo("cam");
       if (!read.ok()) ++errors;
     });
   }
@@ -435,7 +385,7 @@ TEST_F(FaultServiceTest, SingleFlightWaitersObserveLeaderFailure) {
   for (int node = 0; node < 3; ++node) {
     ASSERT_TRUE(store->EnableNode(node).ok());
   }
-  auto read = (*vss)->ReadVideo("cam", VariantKey{32, 18, 32});
+  auto read = (*vss)->ReadVideo("cam");
   EXPECT_TRUE(read.ok()) << read.status().ToString();
 }
 

@@ -235,7 +235,7 @@ TEST(MetricsDocsSyncTest, EveryRegisteredMetricIsDocumented) {
   }
 
   // Storage service metrics (vr_store_*, vr_vss_*): ingest into a sharded
-  // store, read at a transcode tier, range-read, and compact.
+  // store, range-read, and read whole streams.
   {
     namespace fs = std::filesystem;
     std::string root = (fs::temp_directory_path() / "vr_metrics_vss").string();
@@ -253,17 +253,12 @@ TEST(MetricsDocsSyncTest, EveryRegisteredMetricIsDocumented) {
     video::codec::EncodedVideo encoded = EncodeTestVideo(/*frames=*/8,
                                                          /*gop_length=*/4);
     ASSERT_TRUE((*vss)->Ingest("cam", encoded).ok());
-    auto base = (*vss)->BaseTier("cam");
-    ASSERT_TRUE(base.ok());
-    ASSERT_TRUE((*vss)->ReadRange("cam", *base, 5, 2).ok());
-    storage::VariantKey tier{16, 16, 32};
-    ASSERT_TRUE((*vss)->ReadVideo("cam", tier).ok());
-    ASSERT_TRUE((*vss)->ReadVideo("cam", tier).ok());
-    ASSERT_TRUE((*vss)->Compact().ok());
+    ASSERT_TRUE((*vss)->ReadRange("cam", 5, 2).ok());
+    ASSERT_TRUE((*vss)->ReadVideo("cam").ok());
     // A degraded datanode exercises the fail-over counter.
     ASSERT_TRUE(store->DisableNode(0).ok());
     (*vss)->DropResident();
-    auto read = (*vss)->ReadVideo("cam", *base);
+    auto read = (*vss)->ReadVideo("cam");
     ASSERT_TRUE(read.ok()) << read.status().ToString();
     std::error_code ec;
     fs::remove_all(root, ec);

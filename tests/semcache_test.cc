@@ -633,5 +633,51 @@ TEST_F(SemCacheEngineTest, ExplainReportsCacheTemperature) {
   EXPECT_EQ(semcache.stats().hits, 0);
 }
 
+TEST_F(SemCacheEngineTest, ExplainPlansQ8PerTrafficStream) {
+  // Q8 decodes every traffic stream and detects on each through the cache,
+  // so its plan names the inference stage per stream, and the cache answers
+  // exactly the streams Q2(c) warmed.
+  video::codec::GopCache gops;
+  SemanticCache semcache;
+  systems::EngineOptions options;
+  options.gop_cache = &gops;
+  options.semantic_cache = &semcache;
+  auto engine = systems::MakePipelineEngine(options);
+
+  const size_t streams = dataset_->TrafficAssets().size();
+  ASSERT_GE(streams, 2u);
+  for (size_t v = 0; v < streams; v += 2) {
+    QueryInstance warm = Q2c();
+    warm.video_index = static_cast<int>(v);
+    ASSERT_TRUE(
+        engine->Execute(warm, *dataset_, systems::OutputMode::kStreaming, "").ok());
+  }
+  QueryInstance q8;
+  q8.id = QueryId::kQ8;
+  const std::string explain = engine->Explain(q8, *dataset_);
+  const std::string prefix = std::string(engine->name()) + ": ";
+  ASSERT_EQ(explain.compare(0, prefix.size(), prefix), 0) << explain;
+
+  std::vector<std::string> plans;
+  for (size_t begin = prefix.size();;) {
+    const size_t end = explain.find("; ", begin);
+    plans.push_back(explain.substr(begin, end - begin));
+    if (end == std::string::npos) break;
+    begin = end + 2;
+  }
+  ASSERT_EQ(plans.size(), streams) << explain;
+  for (size_t v = 0; v < streams; ++v) {
+    const std::string& plan = plans[v];
+    EXPECT_EQ(plan.rfind("Q8 frames=", 0), 0u) << plan;
+    if (v % 2 == 0) {
+      EXPECT_NE(plan.find("semcache=warm stages=[semcache]"), std::string::npos)
+          << plan;
+    } else {
+      EXPECT_NE(plan.find("semcache=cold stages=[miniyolo"), std::string::npos)
+          << plan;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace visualroad::queries

@@ -11,7 +11,6 @@
 #include "common/serialize.h"
 #include "driver/dataset_io.h"
 #include "driver/datasets.h"
-#include "storage/vss_policy.h"
 #include "systems/vdbms.h"
 #include "video/codec/codec.h"
 #include "video/codec/gop_cache.h"
@@ -106,17 +105,17 @@ TEST_F(VssTest, IngestReadBackIsByteIdentical) {
   EncodedVideo original = MakeStream(12, 64, 36, 4, 1);
   ASSERT_TRUE(vss->Ingest("cam", original).ok());
 
-  auto tier = vss->BaseTier("cam");
-  ASSERT_TRUE(tier.ok());
-  EXPECT_EQ(tier->width, 64);
-  EXPECT_EQ(tier->qp, 0);
-  auto read = vss->ReadVideo("cam", *tier);
+  auto entry = vss->Describe("cam");
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->width, 64);
+  EXPECT_EQ(entry->identity, video::codec::StreamIdentity(original));
+  auto read = vss->ReadVideo("cam");
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_TRUE(SameBitstream(**read, original));
   EXPECT_EQ(vss->stats().base_hits, 1);
 
   // A second read is served from the resident stream cache.
-  auto again = vss->ReadVideo("cam", *tier);
+  auto again = vss->ReadVideo("cam");
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->get(), read->get());
   EXPECT_EQ(vss->stats().resident_hits, 1);
@@ -128,12 +127,10 @@ TEST_F(VssTest, RangeReadFetchesOnlyCoveringSegments) {
   auto vss = OpenService(options);
   EncodedVideo original = MakeStream(16, 64, 36, 4, 2);
   ASSERT_TRUE(vss->Ingest("cam", original).ok());
-  auto tier = vss->BaseTier("cam");
-  ASSERT_TRUE(tier.ok());
 
   StoreStats store_before = store_->stats();
   // Frames [5, 9) live in GOPs 1 and 2 (of four 4-frame GOPs).
-  auto range = vss->ReadRange("cam", *tier, 5, 4);
+  auto range = vss->ReadRange("cam", 5, 4);
   ASSERT_TRUE(range.ok()) << range.status().ToString();
   EXPECT_EQ(range->first_frame, 4);
   ASSERT_EQ(range->video->FrameCount(), 8);
@@ -145,115 +142,61 @@ TEST_F(VssTest, RangeReadFetchesOnlyCoveringSegments) {
   EXPECT_EQ(stats.range_reads, 1);
   EXPECT_EQ(stats.segments_fetched, 2);
   EXPECT_LT(stats.bytes_fetched, static_cast<int64_t>(original.TotalBytes()));
-  // The store served a strict subset of the variant object's blocks.
+  // The store served a strict subset of the stream object's blocks.
   EXPECT_GT(store_->stats().partial_reads, store_before.partial_reads);
 }
 
 TEST_F(VssTest, ReadRangeValidatesBounds) {
   auto vss = OpenService(Options());
   ASSERT_TRUE(vss->Ingest("cam", MakeStream(8, 32, 32, 4, 3)).ok());
-  auto tier = vss->BaseTier("cam");
-  ASSERT_TRUE(tier.ok());
-  EXPECT_FALSE(vss->ReadRange("cam", *tier, -1, 2).ok());
-  EXPECT_FALSE(vss->ReadRange("cam", *tier, 0, 0).ok());
-  EXPECT_FALSE(vss->ReadRange("cam", *tier, 6, 3).ok());
-  EXPECT_FALSE(vss->ReadRange("missing", *tier, 0, 1).ok());
-  EXPECT_EQ(vss->ReadVideo("missing", *tier).status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST_F(VssTest, TranscodeOnReadMaterializesAndCachesVariant) {
-  auto vss = OpenService(Options());
-  ASSERT_TRUE(vss->Ingest("cam", MakeStream(12, 64, 36, 4, 4)).ok());
-
-  VariantKey tier{32, 18, 32};
-  auto read = vss->ReadVideo("cam", tier);
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ((*read)->width, 32);
-  EXPECT_EQ((*read)->height, 18);
-  VssStats stats = vss->stats();
-  EXPECT_EQ(stats.transcodes, 1);
-  EXPECT_EQ(stats.variants_persisted, 1);
-
-  auto entry = vss->Describe("cam");
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(entry->variants.size(), 2u);
-  ASSERT_TRUE(entry->variants.count(tier));
-  EXPECT_FALSE(entry->variants.at(tier).base);
-
-  // After dropping the resident cache the persisted variant answers the
-  // same tier without another transcode.
-  vss->DropResident();
-  auto again = vss->ReadVideo("cam", tier);
-  ASSERT_TRUE(again.ok());
-  stats = vss->stats();
-  EXPECT_EQ(stats.transcodes, 1);
-  EXPECT_EQ(stats.variant_hits, 1);
+  EXPECT_FALSE(vss->ReadRange("cam", -1, 2).ok());
+  EXPECT_FALSE(vss->ReadRange("cam", 0, 0).ok());
+  EXPECT_FALSE(vss->ReadRange("cam", 6, 3).ok());
+  EXPECT_FALSE(vss->ReadRange("missing", 0, 1).ok());
+  EXPECT_EQ(vss->ReadVideo("missing").status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(VssTest, CatalogAndVariantsSurviveReopen) {
   EncodedVideo original = MakeStream(12, 64, 36, 4, 5);
-  VariantKey tier{32, 18, 32};
   {
     auto vss = OpenService(Options());
     ASSERT_TRUE(vss->Ingest("cam", original).ok());
-    ASSERT_TRUE(vss->ReadVideo("cam", tier).ok());  // Persists the variant.
   }
   auto reopened = OpenService(Options());
   EXPECT_TRUE(reopened->Contains("cam"));
   auto entry = reopened->Describe("cam");
   ASSERT_TRUE(entry.ok());
   EXPECT_EQ(entry->frame_count, 12);
-  EXPECT_EQ(entry->variants.size(), 2u);
+  EXPECT_EQ(entry->segments.size(), 3u);
+  // The identity of the ingested bitstream survives the reopen.
+  EXPECT_EQ(entry->identity, video::codec::StreamIdentity(original));
 
-  auto base = reopened->BaseTier("cam");
-  ASSERT_TRUE(base.ok());
-  auto read = reopened->ReadVideo("cam", *base);
+  auto read = reopened->ReadVideo("cam");
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(SameBitstream(**read, original));
-  // The cached variant answers without a new transcode.
-  ASSERT_TRUE(reopened->ReadVideo("cam", tier).ok());
-  EXPECT_EQ(reopened->stats().transcodes, 0);
-  EXPECT_EQ(reopened->stats().variant_hits, 1);
+  EXPECT_EQ(video::codec::StreamIdentity(**read), entry->identity);
 }
 
-/// The start of a catalog of one video "x" of `frames` frames whose variant
+/// The start of a catalog of one video "x" of `frames` frames whose segment
 /// count follows.
 ByteWriter CatalogOfOneVideo(uint32_t frames = 0) {
   ByteWriter writer;
-  writer.U32(0x53565256);  // "VRVS".
-  writer.U64(0);           // Use clock.
+  writer.U32(0x32565256);  // "VRV2".
   writer.U32(1);           // Videos.
   writer.Str("x");
-  writer.U8(0);   // Profile.
+  writer.U8(0);    // Profile.
+  writer.I32(64);  // Width.
+  writer.I32(36);  // Height.
   writer.F64(15);  // Fps.
   writer.U32(frames);
-  writer.U32(0);  // GOP length.
+  writer.U64(0);  // Identity.
   return writer;
-}
-
-TEST_F(VssTest, VariantCountBeyondCatalogIsDataLoss) {
-  ByteWriter writer = CatalogOfOneVideo();
-  writer.U32(0xFFFFFFFFu);  // Variants.
-  ASSERT_EQ(writer.bytes().size(), 42u);
-  ASSERT_TRUE(store_->Put("vss/catalog.vrvc", writer.bytes()).ok());
-  auto service = VideoStorageService::Open(Options());
-  ASSERT_FALSE(service.ok());
-  EXPECT_EQ(service.status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(VssTest, SegmentCountBeyondCatalogIsDataLoss) {
   ByteWriter writer = CatalogOfOneVideo();
-  writer.U32(1);  // Variants.
-  writer.I32(64);  // Width.
-  writer.I32(36);  // Height.
-  writer.I32(20);  // QP.
-  writer.U8(1);    // Base.
-  writer.U64(0);   // Bytes.
-  writer.U64(0);   // Last use.
-  writer.U64(0);   // Hits.
   writer.U32(0xFFFFFFFFu);  // Segments.
-  ASSERT_EQ(writer.bytes().size(), 83u);
+  ASSERT_EQ(writer.bytes().size(), 46u);
   ASSERT_TRUE(store_->Put("vss/catalog.vrvc", writer.bytes()).ok());
   auto service = VideoStorageService::Open(Options());
   ASSERT_FALSE(service.ok());
@@ -265,21 +208,12 @@ TEST_F(VssTest, SegmentFrameCountBeyondSegmentIsDataLoss) {
   // segment header's count is bounded by the bytes after it, so the read
   // fails cleanly instead of sizing 2^28 frames.
   constexpr uint32_t kFrames = 1u << 28;
-  const VariantKey key{64, 36, 0};
   ByteWriter segment;
   segment.U32(0x31475356);  // "VSG1".
   segment.U32(0);           // First frame.
   segment.U32(kFrames);
-  ASSERT_TRUE(store_->Put("vss/x/" + VariantTag(key) + ".var", segment.bytes()).ok());
+  ASSERT_TRUE(store_->Put("vss/x/base.var", segment.bytes()).ok());
   ByteWriter writer = CatalogOfOneVideo(kFrames);
-  writer.U32(1);  // Variants.
-  writer.I32(key.width);
-  writer.I32(key.height);
-  writer.I32(key.qp);
-  writer.U8(1);    // Base.
-  writer.U64(12);  // Bytes.
-  writer.U64(0);   // Last use.
-  writer.U64(0);   // Hits.
   writer.U32(1);   // Segments.
   writer.U64(0);   // Offset.
   writer.U64(12);  // Length.
@@ -287,32 +221,96 @@ TEST_F(VssTest, SegmentFrameCountBeyondSegmentIsDataLoss) {
   writer.U32(kFrames);
   ASSERT_TRUE(store_->Put("vss/catalog.vrvc", writer.bytes()).ok());
   auto vss = OpenService(Options());
-  auto read = vss->ReadVideo("x", key);
+  auto read = vss->ReadVideo("x");
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
 }
 
-TEST_F(VssTest, SingleFlightCoalescesConcurrentTranscodes) {
+TEST_F(VssTest, SegmentOutsideItsReadIsDataLoss) {
+  // Two segments listed out of order: the read spans from the first one's
+  // offset to the last one's end, which holds none of the first segment's
+  // bytes. The extent is DataLoss, never a parse past the bytes read.
+  ByteWriter segment;
+  segment.U32(0x31475356);  // "VSG1".
+  segment.U32(0);           // First frame.
+  segment.U32(0);           // Frames.
+  std::vector<uint8_t> object = segment.bytes();
+  object.insert(object.end(), segment.bytes().begin(), segment.bytes().end());
+  ASSERT_TRUE(store_->Put("vss/x/base.var", object).ok());
+  ByteWriter writer = CatalogOfOneVideo();
+  writer.U32(2);  // Segments.
+  for (uint64_t offset : {12u, 0u}) {
+    writer.U64(offset);
+    writer.U64(12);  // Length.
+    writer.U32(0);   // First frame.
+    writer.U32(0);   // Frames.
+  }
+  ASSERT_TRUE(store_->Put("vss/catalog.vrvc", writer.bytes()).ok());
   auto vss = OpenService(Options());
-  ASSERT_TRUE(vss->Ingest("cam", MakeStream(12, 64, 36, 4, 6)).ok());
+  auto read = vss->ReadVideo("x");
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(VssTest, TieredCatalogOpensEmptyAndRestages) {
+  // A catalog of the earlier tiered layout ("VRVS" magic) opens as an empty
+  // service, so the next staging ingests over it.
+  ByteWriter tiered;
+  tiered.U32(0x53565256);  // "VRVS".
+  tiered.U64(0);           // Its use clock.
+  tiered.U32(1);           // Videos, whose records are not read.
+  ASSERT_TRUE(store_->Put("vss/catalog.vrvc", tiered.bytes()).ok());
+  EncodedVideo original = MakeStream(8, 64, 36, 4, 16);
+  {
+    auto vss = OpenService(Options());
+    EXPECT_FALSE(vss->Contains("cam"));
+    ASSERT_TRUE(vss->Ingest("cam", original).ok());
+  }
+  auto reopened = OpenService(Options());
+  auto read = reopened->ReadVideo("cam");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(SameBitstream(**read, original));
+
+  // Any other magic, and a truncated catalog, are still DataLoss.
+  ByteWriter unknown;
+  unknown.U32(0x12345678);
+  unknown.U32(0);
+  ASSERT_TRUE(store_->Put("vss/catalog.vrvc", unknown.bytes()).ok());
+  EXPECT_EQ(VideoStorageService::Open(Options()).status().code(),
+            StatusCode::kDataLoss);
+  ByteWriter truncated = CatalogOfOneVideo(8);
+  ASSERT_TRUE(store_->Put("vss/catalog.vrvc", truncated.bytes()).ok());
+  EXPECT_EQ(VideoStorageService::Open(Options()).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST_F(VssTest, SingleFlightCoalescesConcurrentTranscodes) {
+  // Concurrent cold readers of one stream share a single fetch of its
+  // segments; every reader gets the same bitstream.
+  auto vss = OpenService(Options());
+  EncodedVideo original = MakeStream(12, 64, 36, 4, 6);
+  ASSERT_TRUE(vss->Ingest("cam", original).ok());
 
   constexpr int kThreads = 8;
-  VariantKey tier{32, 18, 30};
   std::vector<std::shared_ptr<const EncodedVideo>> results(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto read = vss->ReadVideo("cam", tier);
+      auto read = vss->ReadVideo("cam");
       ASSERT_TRUE(read.ok()) << read.status().ToString();
       results[static_cast<size_t>(t)] = *read;
     });
   }
   for (std::thread& thread : threads) thread.join();
-  // Exactly one materialization ran; every reader got the same bitstream.
-  EXPECT_EQ(vss->stats().transcodes, 1);
-  EXPECT_EQ(vss->stats().variants_persisted, 1);
+  VssStats stats = vss->stats();
+  EXPECT_EQ(stats.base_hits, 1);
+  EXPECT_EQ(stats.segments_fetched, 3);
+  EXPECT_EQ(stats.bytes_fetched, vss->Describe("cam")->Bytes());
+  EXPECT_EQ(stats.resident_hits, kThreads - 1);
+  ASSERT_NE(results[0], nullptr);
+  EXPECT_TRUE(SameBitstream(*results[0], original));
   for (int t = 1; t < kThreads; ++t) {
-    EXPECT_TRUE(SameBitstream(*results[0], *results[static_cast<size_t>(t)]));
+    EXPECT_EQ(results[static_cast<size_t>(t)], results[0]);
   }
 }
 
@@ -322,186 +320,50 @@ TEST_F(VssTest, ConcurrentReadsSurviveDatanodeFailure) {
   auto vss = OpenService(options);
   EncodedVideo original = MakeStream(16, 64, 36, 4, 7);
   ASSERT_TRUE(vss->Ingest("cam", original).ok());
-  auto tier = vss->BaseTier("cam");
-  ASSERT_TRUE(tier.ok());
 
   // A datanode goes dark; replication must absorb it as fail-overs, never
-  // as query failures — while one missing variant materializes exactly once.
+  // as query failures, for range reads and whole-stream reads alike.
   ASSERT_TRUE(store_->DisableNode(0).ok());
-  VariantKey transcode_tier{32, 18, 32};
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < 3; ++round) {
         int first = (t * 2 + round) % 12;
-        auto range = vss->ReadRange("cam", *tier, first, 4);
+        auto range = vss->ReadRange("cam", first, 4);
         ASSERT_TRUE(range.ok()) << range.status().ToString();
         ASSERT_GE(first, range->first_frame);
         const auto& got =
             range->video->frames[static_cast<size_t>(first - range->first_frame)];
         EXPECT_EQ(got.data, original.frames[static_cast<size_t>(first)].data);
       }
-      auto whole = vss->ReadVideo("cam", transcode_tier);
+      auto whole = vss->ReadVideo("cam");
       ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+      EXPECT_TRUE(SameBitstream(**whole, original));
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_GT(store_->stats().replica_failovers, 0);
-  EXPECT_EQ(vss->stats().transcodes, 1);
-}
-
-TEST_F(VssTest, EvictionRespectsVariantByteBudget) {
-  VssOptions options = Options();
-  options.variant_cache_bytes = 1;  // Nothing fits: persist then evict.
-  auto vss = OpenService(options);
-  ASSERT_TRUE(vss->Ingest("cam", MakeStream(12, 64, 36, 4, 8)).ok());
-
-  ASSERT_TRUE(vss->ReadVideo("cam", VariantKey{32, 18, 32}).ok());
-  VssStats stats = vss->stats();
-  EXPECT_EQ(stats.variants_persisted, 1);
-  EXPECT_EQ(stats.variants_evicted, 1);
-  auto entry = vss->Describe("cam");
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(entry->variants.size(), 1u);  // Base survives; it is never budgeted.
-  auto base = vss->BaseTier("cam");
-  ASSERT_TRUE(base.ok());
-  ASSERT_TRUE(vss->ReadVideo("cam", *base).ok());
-}
-
-TEST_F(VssTest, CompactionDropsDominatedVariants) {
-  VssOptions options = Options();
-  options.compaction_byte_slack = 100.0;  // Quality alone decides dominance.
-  auto vss = OpenService(options);
-  ASSERT_TRUE(vss->Ingest("cam", MakeStream(12, 64, 36, 4, 9)).ok());
-
-  // Materialize two variants at the same resolution, qp 40 and qp 32. The
-  // qp 32 variant serves every read the qp 40 one can, so compaction drops
-  // the dominated qp 40 object.
-  ASSERT_TRUE(vss->ReadVideo("cam", VariantKey{32, 18, 40}).ok());
-  ASSERT_TRUE(vss->ReadVideo("cam", VariantKey{32, 18, 32}).ok());
-  ASSERT_EQ(vss->Describe("cam")->variants.size(), 3u);
-
-  auto dropped = vss->Compact();
-  ASSERT_TRUE(dropped.ok());
-  EXPECT_EQ(*dropped, 1);
-  EXPECT_EQ(vss->stats().variants_compacted, 1);
-  auto entry = vss->Describe("cam");
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(entry->variants.size(), 2u);
-  EXPECT_FALSE(entry->variants.count(VariantKey{32, 18, 40}));
-  ASSERT_TRUE(entry->variants.count(VariantKey{32, 18, 32}));
-
-  // Reads at the dropped tier still succeed, served by the survivor.
-  vss->DropResident();
-  int64_t transcodes_before = vss->stats().transcodes;
-  auto read = vss->ReadVideo("cam", VariantKey{32, 18, 40});
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(vss->stats().transcodes, transcodes_before);
 }
 
 TEST_F(VssTest, IngestReplacesVideoAndDropsStaleVariants) {
   auto vss = OpenService(Options());
   EncodedVideo first = MakeStream(12, 64, 36, 4, 10);
   ASSERT_TRUE(vss->Ingest("cam", first).ok());
-  ASSERT_TRUE(vss->ReadVideo("cam", VariantKey{32, 18, 32}).ok());
+  ASSERT_TRUE(vss->ReadVideo("cam").ok());  // Makes the stream resident.
 
   EncodedVideo second = MakeStream(8, 64, 36, 4, 11);
   ASSERT_TRUE(vss->Ingest("cam", second).ok());
   auto entry = vss->Describe("cam");
   ASSERT_TRUE(entry.ok());
   EXPECT_EQ(entry->frame_count, 8);
-  EXPECT_EQ(entry->variants.size(), 1u);  // The stale transcode is gone.
-  auto base = vss->BaseTier("cam");
-  ASSERT_TRUE(base.ok());
-  auto read = vss->ReadVideo("cam", *base);
+  EXPECT_EQ(entry->identity, video::codec::StreamIdentity(second));
+  auto read = vss->ReadVideo("cam");
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(SameBitstream(**read, second));
-}
-
-TEST_F(VssTest, TranscodeDeadlineDegradesToNearestVariant) {
-  // Tentpole: when every transcode stalls past the deadline, the read
-  // degrades — the already-fetched nearest better variant (here the base)
-  // is served directly instead of blocking the query on the transcode.
-  auto profile = fault::ProfileByName("degraded");
-  ASSERT_TRUE(profile.ok());
-  profile->transcode_stall_delay = std::chrono::microseconds(5000);
-  fault::FaultInjector injector(*profile, 17);
-  VssOptions options = Options();
-  options.faults = &injector;
-  options.transcode_deadline = std::chrono::milliseconds(1);
-  auto vss = OpenService(options);
-  EncodedVideo original = MakeStream(12, 64, 36, 4, 13);
-  ASSERT_TRUE(vss->Ingest("cam", original).ok());
-
-  VariantKey tier{32, 18, 32};
-  auto read = vss->ReadVideo("cam", tier);
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  // The degraded read serves the base bitstream (64x36), not the 32x18 tier.
-  EXPECT_EQ((*read)->width, 64);
-  EXPECT_TRUE(SameBitstream(**read, original));
-  VssStats stats = vss->stats();
-  EXPECT_EQ(stats.degraded_reads, 1);
-  EXPECT_EQ(stats.transcodes, 0);
-  // Nothing half-transcoded gets persisted as a variant.
-  EXPECT_EQ(stats.variants_persisted, 0);
-  auto entry = vss->Describe("cam");
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(entry->variants.size(), 1u);
-}
-
-TEST_F(VssTest, ZeroDeadlineNeverDegradesEvenWithStalls) {
-  // transcode_deadline == 0 disables degradation entirely: with stalls
-  // injected the read is slower but still serves the exact requested tier —
-  // the byte-identity guarantee for faults-off configurations.
-  auto profile = fault::ProfileByName("degraded");
-  ASSERT_TRUE(profile.ok());
-  profile->transcode_stall_delay = std::chrono::microseconds(100);
-  fault::FaultInjector injector(*profile, 19);
-  VssOptions options = Options();
-  options.faults = &injector;
-  auto vss = OpenService(options);
-  ASSERT_TRUE(vss->Ingest("cam", MakeStream(12, 64, 36, 4, 14)).ok());
-
-  VariantKey tier{32, 18, 32};
-  auto read = vss->ReadVideo("cam", tier);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ((*read)->width, 32);
-  EXPECT_EQ(vss->stats().degraded_reads, 0);
-  EXPECT_EQ(vss->stats().transcodes, 1);
-}
-
-TEST_F(VssTest, DegradedSingleFlightWaitersSeeTheDegradedStream) {
-  // Waiters coalesced behind a leader that degrades must observe the
-  // leader's degraded outcome instead of hanging on a tier that never
-  // materializes.
-  auto profile = fault::ProfileByName("degraded");
-  ASSERT_TRUE(profile.ok());
-  profile->transcode_stall_delay = std::chrono::microseconds(5000);
-  fault::FaultInjector injector(*profile, 23);
-  VssOptions options = Options();
-  options.faults = &injector;
-  options.transcode_deadline = std::chrono::milliseconds(1);
-  auto vss = OpenService(options);
-  EncodedVideo original = MakeStream(12, 64, 36, 4, 15);
-  ASSERT_TRUE(vss->Ingest("cam", original).ok());
-
-  constexpr int kThreads = 6;
-  std::vector<std::shared_ptr<const EncodedVideo>> results(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      auto read = vss->ReadVideo("cam", VariantKey{32, 18, 32});
-      ASSERT_TRUE(read.ok()) << read.status().ToString();
-      results[static_cast<size_t>(t)] = *read;
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_TRUE(SameBitstream(*results[static_cast<size_t>(t)], original));
-  }
-  EXPECT_GT(vss->stats().degraded_reads, 0);
-  EXPECT_EQ(vss->stats().transcodes, 0);
+  // The stale resident stream was dropped: the read fetched the new one.
+  EXPECT_EQ(vss->stats().resident_hits, 0);
+  EXPECT_EQ(vss->stats().base_hits, 2);
 }
 
 TEST_F(VssTest, RejectsInvalidIngestAndOptions) {
