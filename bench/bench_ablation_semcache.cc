@@ -7,12 +7,12 @@
 // (they must be: the warm path renders from the same unfiltered detections
 // the cold path materialized). The warm run must report zero frames decoded.
 //
-// Part 2 runs a cascade Q2(c) batch twice. The first batch executes the
-// static stage order while the selectivity tracker measures each stage; the
-// second batch executes the measured plan, which drops prefilters whose
-// observed selectivity cannot pay for itself (the detector is configured so
-// cheap-model confidences are routinely ambiguous, making the cheap stage
-// useless). The speedup between the two batches is the reorder win.
+// Part 2 runs a cascade Q2(c) batch twice. The first batch runs every stage
+// while the selectivity tracker measures each one; the second batch executes
+// the measured plan, which drops prefilters whose observed selectivity
+// cannot pay for itself (the detector is configured so cheap-model
+// confidences are routinely ambiguous, making the cheap stage useless). The
+// speedup between the two batches is the win from dropping them.
 //
 // Results are printed and written as JSON to bench/BENCH_semcache.json
 // (override with VR_SEMCACHE_OUT).
@@ -85,7 +85,7 @@ StatusOr<TimedRun> RunOnce(systems::Vdbms& engine, const sim::Dataset& dataset,
 int Run() {
   PrintBanner("Semantic cache + planner ablation",
               "Cold/warm Q2(c) through the semantic result store, and the "
-              "measured-selectivity cascade reorder win.");
+              "win from disabling useless cascade prefilters.");
 
   double duration = QuickMode() ? 0.5 : 1.0;
   auto dataset = MakeBenchDataset(1, kBaseWidth, kBaseHeight, duration, 2400);
@@ -147,7 +147,7 @@ int Run() {
                 "short-circuiting decode\n");
   }
 
-  // --- Part 2: measured-selectivity reordering on the cascade engine. The
+  // --- Part 2: measured-selectivity planning on the cascade engine. The
   // detector is configured with a heavy false-positive load whose scores
   // fall in the cascade's ambiguous band, so the cheap model resolves almost
   // nothing and nearly every frame escalates. Batch 1 measures that; batch 2
@@ -178,7 +178,7 @@ int Run() {
                  planned_batch.status().ToString().c_str());
     return 1;
   }
-  double reorder_speedup = planned_batch->total_seconds > 0
+  double planned_speedup = planned_batch->total_seconds > 0
                                ? static_batch->total_seconds /
                                      planned_batch->total_seconds
                                : 0.0;
@@ -195,7 +195,7 @@ int Run() {
               static_cast<long long>(planned_batch->engine_stats.cnn_frames_cheap),
               static_cast<long long>(planned_batch->engine_stats.cnn_frames_full),
               static_cast<long long>(planned_batch->engine_stats.cnn_frames_skipped),
-              reorder_speedup);
+              planned_speedup);
   std::printf("  plan: %s\n", planned_batch->plan_explain.c_str());
 
   const char* env_out = std::getenv("VR_SEMCACHE_OUT");
@@ -234,7 +234,7 @@ int Run() {
       << "    \"instances\": " << static_batch->instances << ",\n"
       << "    \"static_seconds\": " << static_batch->total_seconds << ",\n"
       << "    \"planned_seconds\": " << planned_batch->total_seconds << ",\n"
-      << "    \"speedup\": " << reorder_speedup << ",\n"
+      << "    \"speedup\": " << planned_speedup << ",\n"
       << "    \"static_cnn_frames_cheap\": "
       << static_batch->engine_stats.cnn_frames_cheap << ",\n"
       << "    \"planned_cnn_frames_cheap\": "

@@ -1,7 +1,6 @@
 #include "common/fault.h"
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 
 #include "common/metrics.h"
@@ -9,9 +8,6 @@
 
 namespace visualroad::fault {
 namespace {
-
-std::atomic<int64_t> g_total_retries{0};
-std::atomic<int64_t> g_total_giveups{0};
 
 // Thread-scoped mirrors of the robustness counters; see ThreadRetries() /
 // ThreadDegraded() in the header for the attribution contract.
@@ -69,7 +65,6 @@ std::string_view SiteName(Site site) {
     case Site::kStoreSlowRead: return "store_slow_read";
     case Site::kStoreWriteFail: return "store_write_fail";
     case Site::kRtpLoss: return "rtp_loss";
-    case Site::kRtpReorder: return "rtp_reorder";
     case Site::kRtpJitter: return "rtp_jitter";
     case Site::kRpcSend: return "rpc_send";
     case Site::kWorkerCrash: return "worker_crash";
@@ -90,13 +85,12 @@ StatusOr<FaultProfile> ProfileByName(std::string_view name) {
   }
   if (name == "flaky") {
     // Transient storage trouble dominates: reads flap and retry, a few
-    // replica writes fail over to another node, and the channel drops the
-    // odd packet.
+    // replica writes fail over to another node, and the online feed drops
+    // the odd frame.
     p.prob(Site::kStoreReadFlap) = 0.35;
     p.prob(Site::kStoreSlowRead) = 0.05;
     p.prob(Site::kStoreWriteFail) = 0.05;
     p.prob(Site::kRtpLoss) = 0.05;
-    p.prob(Site::kRtpReorder) = 0.02;
     p.prob(Site::kRtpJitter) = 0.05;
     return p;
   }
@@ -104,7 +98,6 @@ StatusOr<FaultProfile> ProfileByName(std::string_view name) {
     // A bad network, healthy storage: online frames go missing and arrive
     // late far more often than datanodes misbehave.
     p.prob(Site::kRtpLoss) = 0.20;
-    p.prob(Site::kRtpReorder) = 0.10;
     p.prob(Site::kRtpJitter) = 0.20;
     return p;
   }
@@ -203,7 +196,6 @@ Status RetryPolicy::Run(const std::function<Status()>& op, int* attempts_out) {
     if (status.ok() || !IsRetryable(status.code())) break;
     if (attempts >= std::max(1, options_.max_attempts)) {
       inst.giveups->Increment();
-      g_total_giveups.fetch_add(1, std::memory_order_relaxed);
       break;
     }
     auto sleep = backoff;
@@ -212,7 +204,6 @@ Status RetryPolicy::Run(const std::function<Status()>& op, int* attempts_out) {
           options_.deadline - (std::chrono::steady_clock::now() - start));
       if (remaining.count() <= 0) {
         inst.giveups->Increment();
-        g_total_giveups.fetch_add(1, std::memory_order_relaxed);
         break;
       }
       sleep = std::min(sleep, remaining);
@@ -223,7 +214,6 @@ Status RetryPolicy::Run(const std::function<Status()>& op, int* attempts_out) {
       retry_span.emplace("retry:" + std::string(SiteName(site_)));
     }
     inst.retries->Increment();
-    g_total_retries.fetch_add(1, std::memory_order_relaxed);
     ++t_thread_retries;
     std::this_thread::sleep_for(sleep);
     inst.sleep_seconds->Increment(
@@ -235,14 +225,6 @@ Status RetryPolicy::Run(const std::function<Status()>& op, int* attempts_out) {
   }
   if (attempts_out != nullptr) *attempts_out = attempts;
   return status;
-}
-
-int64_t TotalRetries() {
-  return g_total_retries.load(std::memory_order_relaxed);
-}
-
-int64_t TotalGiveups() {
-  return g_total_giveups.load(std::memory_order_relaxed);
 }
 
 int64_t ThreadRetries() { return t_thread_retries; }

@@ -22,13 +22,12 @@ enum class Site {
   kStoreReadFlap = 0,   // Transient datanode failure observed by a block read.
   kStoreSlowRead,       // A block read that completes but late.
   kStoreWriteFail,      // A replica write that fails mid-block.
-  kRtpLoss,             // An RTP packet (or online frame) lost in the channel.
-  kRtpReorder,          // An RTP packet delivered one slot late.
+  kRtpLoss,             // An online frame lost in the channel.
   kRtpJitter,           // Network delay on an online frame delivery.
   kRpcSend,             // A distributed RPC frame lost/failed on send.
   kWorkerCrash,         // A worker process killed before a dispatch lands.
 };
-inline constexpr int kSiteCount = 8;
+inline constexpr int kSiteCount = 7;
 
 /// Stable lower_snake label for a site ("store_read_flap", ...). Used for
 /// substream derivation, metric labels, and trace span names.
@@ -51,9 +50,9 @@ struct FaultProfile {
 };
 
 /// Looks up a named profile: "none", "flaky" (transient storage faults plus
-/// mild channel loss), "lossy" (heavy RTP loss/reorder/jitter), "cluster"
-/// (RPC send failures and worker crashes). Unknown names are an error
-/// listing the valid choices.
+/// mild online-feed loss), "lossy" (heavy online-feed loss and jitter),
+/// "cluster" (RPC send failures and worker crashes). Unknown names are an
+/// error listing the valid choices.
 StatusOr<FaultProfile> ProfileByName(std::string_view name);
 
 /// A seeded, deterministic fault source. Each site owns an independent
@@ -129,18 +128,11 @@ class RetryPolicy {
   RetryOptions options_;
 };
 
-/// Process-wide retry accounting, mirrored from the vr_retry_* metrics so
-/// the driver can snapshot deltas per query batch without parsing the
-/// Prometheus text. Global deltas conflate whatever else ran in the window;
-/// per-instance attribution uses the thread-scoped counters below.
-int64_t TotalRetries();
-int64_t TotalGiveups();
-
 /// Retry attempts made by code running on the current thread. RetryPolicy
-/// increments this on the calling thread alongside the global counter, so a
-/// caller that brackets an operation with two reads gets the operation's
-/// exact retry count even while other threads retry concurrently (the VCD
-/// attributes retries to query instances this way when batches overlap).
+/// increments this on the calling thread alongside the vr_retry_* metrics,
+/// so a caller that brackets an operation with two reads gets the operation's
+/// exact retry count even while other threads retry concurrently (the VCD,
+/// the query server and the coordinator attribute retries this way).
 int64_t ThreadRetries();
 
 /// Degraded deliveries recorded by code running on the current thread:
@@ -152,7 +144,7 @@ int64_t ThreadRetries();
 int64_t ThreadDegraded();
 
 /// Records `count` degraded deliveries against the current thread. Called by
-/// the degrade site (online sources); not a metric — the site keeps its own
+/// the degrade site (the online feed); not a metric — the site keeps its own
 /// registry instrument.
 void NoteDegraded(int64_t count = 1);
 

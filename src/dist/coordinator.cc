@@ -132,6 +132,21 @@ bool MayTakeChunk(int avoid, int worker, int other_live_workers) {
   return avoid != worker || other_live_workers == 0;
 }
 
+int StreamHomeNode(const storage::ShardedStore& store, int camera_id) {
+  // The object's full name is the prefix: no other object starts with it.
+  std::vector<int64_t> bytes = store.NodeBytesForPrefix(
+      storage::StreamObjectName(storage::CameraStreamName(camera_id)));
+  int best = -1;
+  int64_t best_bytes = 0;
+  for (size_t node = 0; node < bytes.size(); ++node) {
+    if (bytes[node] > best_bytes) {
+      best_bytes = bytes[node];
+      best = static_cast<int>(node);
+    }
+  }
+  return best;
+}
+
 }  // namespace internal
 
 Coordinator::Coordinator(CoordinatorOptions options)
@@ -253,20 +268,11 @@ int Coordinator::PreferredWorker(const queries::QueryInstance& instance,
         options_.dataset->TrafficAssets();
     if (instance.video_index >= 0 &&
         instance.video_index < static_cast<int>(traffic.size())) {
-      int camera_id = traffic[instance.video_index]->camera.camera_id;
-      std::vector<int64_t> bytes = options_.store->NodeBytesForPrefix(
-          "vss/" + storage::CameraStreamName(camera_id) + "/");
-      int best = -1;
-      int64_t best_bytes = 0;
-      for (size_t node = 0; node < bytes.size(); ++node) {
-        if (bytes[node] > best_bytes) {
-          best_bytes = bytes[node];
-          best = static_cast<int>(node);
-        }
-      }
+      int home = internal::StreamHomeNode(
+          *options_.store, traffic[instance.video_index]->camera.camera_id);
       // The stream's dominant datanode, folded onto the fleet: workers
       // stand in for datanodes, so shards of one node land on one worker.
-      if (best >= 0) return internal::NonNegativeMod(best, workers);
+      if (home >= 0) return internal::NonNegativeMod(home, workers);
     }
   }
   // The fold must stay non-negative even for an unset (negative) video

@@ -175,6 +175,12 @@ int NonNegativeMod(int value, int modulus);
 /// only as a last resort — otherwise the re-dispatch would land on the very
 /// worker that is still busy executing the old request.
 bool MayTakeChunk(int avoid, int worker, int other_live_workers);
+
+/// Locality hint: the datanode holding the most bytes of camera
+/// `camera_id`'s stream object (storage::StreamObjectName), or -1 when
+/// `store` holds none of it. Only that object counts, so a stale object of
+/// an older layout under the same camera prefix cannot move the hint.
+int StreamHomeNode(const storage::ShardedStore& store, int camera_id);
 }  // namespace internal
 
 }  // namespace visualroad::dist

@@ -31,7 +31,7 @@ struct VcdOptions {
   /// throttled to the camera's capture rate x this multiplier (1.0 = strict
   /// real time; larger accelerates simulated time for tests/benches). The
   /// ingest time is part of the measured batch runtime, as with a named
-  /// pipe or RTP feed.
+  /// pipe.
   double online_rate_multiplier = 1.0;
   /// Validate results against the reference implementation (write mode
   /// only; validation time is excluded from the measured batch runtime).

@@ -55,9 +55,9 @@ void PrintUsage(const char* argv0) {
       "  --no-validate     Skip reference validation\n"
       "  --streaming       Discard results instead of writing containers\n"
       "  --output-dir DIR  Persist write-mode results under DIR\n"
-      "  --storage DIR     Stage inputs into a tiered storage service rooted\n"
-      "                    at DIR and read them back through it (DESIGN.md\n"
-      "                    Section 10) instead of from memory\n"
+      "  --storage DIR     Stage inputs into the video storage service\n"
+      "                    rooted at DIR and read them back through it\n"
+      "                    (DESIGN.md Section 10) instead of from memory\n"
       "  --semcache        Materialize inference results in the semantic\n"
       "                    result store (DESIGN.md Section 14): repeated\n"
       "                    detection queries are answered from cache instead\n"
@@ -65,7 +65,8 @@ void PrintUsage(const char* argv0) {
       "                    entries persist through the store across runs\n"
       "  --explain         Print each batch's execution plan before running\n"
       "                    it: pushdown window, semantic-cache temperature,\n"
-      "                    and measured-selectivity stage order\n"
+      "                    and the stages that run, with the prefilters\n"
+      "                    their measured selectivity disabled\n"
       "  --faults NAME     Deterministic fault injection profile (none |\n"
       "                    flaky | lossy | cluster; DESIGN.md\n"
       "                    Section 11). Implies online execution at an\n"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 
 namespace visualroad::queries {
 
@@ -44,15 +43,12 @@ void ApplyTemporalPushdown(const QueryInstance& instance, const StreamMeta& meta
   plan.frame_count = last - first;
 }
 
-/// Fills plan.stages from the engine's static stage list, the tracker's
-/// measurements, and the cascade-ordering rule: prefilters (every stage but
-/// the last) are ordered by measured cost per resolved frame — the classic
-/// cascade ordering — and a prefilter whose measured selectivity cannot pay
-/// for itself is disabled outright. Unmeasured stages keep their static
-/// position and stay enabled (the planner only acts on evidence).
+/// Fills plan.stages from the engine's stage list, in the engine's order,
+/// and the tracker's measurements: a prefilter (every stage but the last)
+/// whose measured selectivity cannot pay for itself is disabled outright.
+/// Unmeasured stages stay enabled (the planner only acts on evidence).
 void PlanStages(const PlanContext& context, QueryPlan& plan) {
   if (context.stages.empty()) return;
-  std::vector<PlanStage> prefilters;
   for (size_t i = 0; i + 1 < context.stages.size(); ++i) {
     PlanStage stage;
     stage.name = context.stages[i];
@@ -65,22 +61,8 @@ void PlanStages(const PlanContext& context, QueryPlan& plan) {
         stage.enabled = stage.selectivity >= kMinUsefulSelectivity;
       }
     }
-    prefilters.push_back(std::move(stage));
+    plan.stages.push_back(std::move(stage));
   }
-  // Cost-ordered cascade: cheaper-per-resolved-frame prefilters run first.
-  // stable_sort keeps the static order for ties and unmeasured stages.
-  std::stable_sort(prefilters.begin(), prefilters.end(),
-                   [](const PlanStage& a, const PlanStage& b) {
-                     if (!a.measured || !b.measured) return false;
-                     double a_rate = a.selectivity > 0.0
-                                         ? a.cost_per_attempt_us / a.selectivity
-                                         : std::numeric_limits<double>::infinity();
-                     double b_rate = b.selectivity > 0.0
-                                         ? b.cost_per_attempt_us / b.selectivity
-                                         : std::numeric_limits<double>::infinity();
-                     return a_rate < b_rate;
-                   });
-  plan.stages = std::move(prefilters);
   PlanStage anchor;
   anchor.name = context.stages.back();
   anchor.enabled = true;

@@ -71,7 +71,7 @@ struct PlanStage {
 
 /// The plan for one query instance: which frames to fetch/decode (predicate
 /// pushdown into the decoder and the storage layer), whether the semantic
-/// cache already answers the inference part, and the cascade stage order.
+/// cache already answers the inference part, and which cascade stages run.
 struct QueryPlan {
   QueryId id = QueryId::kQ1;
   /// Input window after temporal pushdown: only the GOPs covering
@@ -91,7 +91,7 @@ struct QueryPlan {
   /// needs no decode at all for the inference stage (Q2(c): the whole query
   /// becomes a metadata lookup plus a render).
   bool semcache_warm = false;
-  /// Inference/filter stages in planned execution order.
+  /// Inference/filter stages in the engine's execution order.
   std::vector<PlanStage> stages;
 };
 
@@ -106,22 +106,20 @@ struct PlanContext {
   SemanticCache* cache = nullptr;
   /// Key the executing engine would use (ignored when cache is null).
   SemanticKey key;
-  /// Measured stage behaviour (null = no reordering, static order).
+  /// Measured stage behaviour (null = every stage stays enabled).
   const SelectivityTracker* tracker = nullptr;
-  /// The executing engine's inference stages in its static order; every
-  /// stage except the last is a prefilter the planner may reorder (by
-  /// measured cost per resolved frame) or disable (below
-  /// kMinUsefulSelectivity). The last stage is the anchor model and always
-  /// runs. Empty for queries without an inference cascade.
+  /// The executing engine's inference stages in the order it runs them;
+  /// every stage except the last is a prefilter the planner may disable
+  /// (below kMinUsefulSelectivity). The last stage is the anchor model and
+  /// always runs. Empty for queries without an inference cascade.
   std::vector<std::string> stages;
 };
 
 /// A stage below this measured selectivity cannot pay for itself: the
-/// planner disables it (the measured-selectivity ordering decision). The
-/// probe is non-binding — content can change — so the tracker keeps
-/// accumulating and a later batch can re-enable the stage.
+/// planner disables it. The probe is non-binding — content can change — so
+/// the tracker keeps accumulating and a later batch can re-enable the stage.
 inline constexpr double kMinUsefulSelectivity = 0.02;
-/// Measurements below this many attempts are noise; keep the static order.
+/// Measurements below this many attempts are noise; the stage stays enabled.
 inline constexpr int64_t kMinMeasuredAttempts = 32;
 
 /// Builds the plan for `instance`. Deterministic: the same instance, stream

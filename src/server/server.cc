@@ -189,15 +189,13 @@ void QueryServer::RunQuery(std::shared_ptr<Batch> batch, size_t index) {
         std::string(engine_->name()) + " does not support " +
         queries::QueryName(instance.id));
   } else {
-    // Thread-scoped fault accounting brackets exactly this call, on this
+    // Thread-scoped retry accounting brackets exactly this call, on this
     // worker thread — the same exactly-once attribution the VCD uses.
     const int64_t retries_before = fault::ThreadRetries();
-    const int64_t degraded_before = fault::ThreadDegraded();
     StatusOr<systems::QueryOutput> output =
         engine_->Execute(instance, *dataset_, options_.output_mode,
                          options_.output_dir, &served.engine_stats);
     served.retries = fault::ThreadRetries() - retries_before;
-    served.frames_degraded = fault::ThreadDegraded() - degraded_before;
     if (output.ok()) {
       served.output = std::move(output).value();
     } else {

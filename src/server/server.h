@@ -45,8 +45,7 @@ struct ServedQuery {
   /// Engine counter movement of exactly this call (per-call window, correct
   /// under concurrent Execute calls).
   systems::EngineStats engine_stats;
-  /// Thread-scoped fault accounting over this call (exactly-once).
-  int64_t frames_degraded = 0;
+  /// Retry attempts made by this call (thread-scoped, exactly-once).
   int64_t retries = 0;
 };
 

@@ -123,6 +123,10 @@ std::string CameraStreamName(int camera_id) {
   return "camera_" + std::to_string(camera_id);
 }
 
+std::string StreamObjectName(const std::string& name) {
+  return "vss/" + name + "/base.var";
+}
+
 int64_t CatalogEntry::Bytes() const {
   return segments.empty() ? 0 : segments.back().offset + segments.back().length;
 }
@@ -137,9 +141,6 @@ VideoStorageService::VideoStorageService(const VssOptions& options)
                                 .evictions = &VssMetrics::Get().resident_evictions,
                                 .bytes_in_use = &VssMetrics::Get().resident_bytes}) {}
 
-std::string VideoStorageService::ObjectName(const std::string& name) {
-  return "vss/" + name + "/base.var";
-}
 
 std::string VideoStorageService::ResidentKey(const CatalogEntry& entry) {
   return entry.name + "/" + std::to_string(entry.identity);
@@ -177,7 +178,7 @@ Status VideoStorageService::Ingest(const std::string& name,
   {
     TRACE_SPAN("vss_persist");
     VR_ASSIGN_OR_RETURN(ShardedStore::Writer writer,
-                        options_.store->OpenWriter(ObjectName(name)));
+                        options_.store->OpenWriter(StreamObjectName(name)));
     int64_t offset = 0;
     for (size_t s = 0; s < starts.size(); ++s) {
       int first = starts[s];
@@ -226,8 +227,9 @@ StatusOr<EncodedVideo> VideoStorageService::FetchSegments(const CatalogEntry& en
   const SegmentInfo& last = entry.segments[seg_first + seg_count - 1];
   int64_t begin = first.offset;
   int64_t length = last.offset + last.length - begin;
-  VR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                      options_.store->Read(ObjectName(entry.name), begin, length));
+  VR_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> bytes,
+      options_.store->Read(StreamObjectName(entry.name), begin, length));
 
   EncodedVideo out;
   out.profile = entry.profile;

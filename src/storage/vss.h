@@ -125,7 +125,6 @@ class VideoStorageService {
 
   explicit VideoStorageService(const VssOptions& options);
 
-  static std::string ObjectName(const std::string& name);
   /// Resident-cache key of `entry`'s stream. It names the ingest, so a fetch
   /// of a replaced stream that lands late is never served as the new one.
   static std::string ResidentKey(const CatalogEntry& entry);
@@ -155,8 +154,11 @@ class VideoStorageService {
   VssStats stats_;
 };
 
-/// Store object name under which the driver stages a camera's bitstream.
+/// Logical video name under which the driver stages a camera's bitstream.
 std::string CameraStreamName(int camera_id);
+
+/// The one store object holding logical video `name`'s segments.
+std::string StreamObjectName(const std::string& name);
 
 }  // namespace visualroad::storage
 

@@ -63,9 +63,10 @@ class CascadeEngine : public QueryEngine {
     }
   }
 
-  /// The planned model cascade over a decoded input. Each stage's attempts,
-  /// resolutions, and wall time feed the selectivity tracker, which is what
-  /// the planner's stage ordering/disabling decisions are measured against.
+  /// The planned model cascade over a decoded input, always in the order
+  /// diff, cheap, full. Each stage's attempts, resolutions, and wall time
+  /// feed the selectivity tracker, which the planner's decision to disable
+  /// a stage is measured against.
   StatusOr<Detections> Detect(const QueryInstance& instance,
                               const sim::VideoAsset& asset, const Video& input,
                               Call& call) override {

@@ -140,9 +140,9 @@ class QueryEngine : public Vdbms {
   StatusOr<QueryOutput> Run(const queries::QueryInstance& instance,
                             const sim::Dataset& dataset, OutputMode mode,
                             const std::string& output_dir, Call& call);
-  /// The input bitstream of `asset`: read from the storage service at the
-  /// asset's base tier when one is configured (storage-backed offline mode),
-  /// else a view of the in-memory container. Byte-identical either way.
+  /// The input bitstream of `asset`: read from the storage service when one
+  /// is configured (storage-backed offline mode), else a view of the
+  /// in-memory container. Byte-identical either way.
   StatusOr<std::shared_ptr<const video::codec::EncodedVideo>> ResolveInput(
       const sim::VideoAsset& asset) const;
   /// Encodes `result` and, in write mode, keeps it in `output` and persists

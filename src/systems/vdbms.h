@@ -55,8 +55,8 @@ struct EngineOptions {
   video::codec::GopCache* gop_cache = nullptr;
   /// Storage-backed offline mode: when set, engines read input bitstreams
   /// (whole or as GOP-aligned frame ranges) from the storage service
-  /// instead of the dataset's in-memory containers. The base tier returns
-  /// the ingested bitstream byte-for-byte, so query results are identical
+  /// instead of the dataset's in-memory containers. The service returns the
+  /// ingested bitstream byte-for-byte, so query results are identical
   /// either way. Borrowed; must outlive the engine.
   storage::VideoStorageService* vss = nullptr;
   /// Semantic result store for materialized inference outputs. Null turns
@@ -142,8 +142,8 @@ class Vdbms {
 
   /// Human-readable execution plan for `instance` without executing it
   /// (`vcd --explain`). Reports predicate pushdown windows, semantic-cache
-  /// temperature, and the measured-selectivity stage order. Engines that do
-  /// not plan return "".
+  /// temperature, and the stages that run, with the prefilters the measured
+  /// selectivity disabled. Engines that do not plan return "".
   virtual std::string Explain(const queries::QueryInstance& instance,
                               const sim::Dataset& dataset) {
     (void)instance;

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -489,6 +490,41 @@ TEST(ShardedStoreTest, NodeBytesForPrefix) {
 
   EXPECT_EQ(store.NodeBytesForPrefix("vss/camera_9/"),
             std::vector<int64_t>(3, 0));
+  std::filesystem::remove_all(options.root);
+}
+
+TEST(CoordinatorInternalTest, LocalityHintFollowsTheStreamObject) {
+  // A store re-staged from an older layout keeps the camera's old stream
+  // object next to the current one. The hint must follow the object reads
+  // come from, even when the stale one holds more bytes elsewhere.
+  storage::StoreOptions options;
+  options.root = (std::filesystem::temp_directory_path() /
+                  ("vr-dist-home-" + std::to_string(::getpid())))
+                     .string();
+  std::filesystem::remove_all(options.root);
+  options.num_nodes = 3;
+  options.replication = 1;
+  options.block_size = 64;
+  auto opened = storage::ShardedStore::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  storage::ShardedStore store = std::move(opened).value();
+  const std::string stream =
+      storage::StreamObjectName(storage::CameraStreamName(0));
+  ASSERT_TRUE(store.DisableNode(1).ok());
+  ASSERT_TRUE(store.DisableNode(2).ok());
+  ASSERT_TRUE(store.Put(stream, std::vector<uint8_t>(100, 1)).ok());
+  ASSERT_TRUE(store.EnableNode(1).ok());
+  ASSERT_TRUE(store.EnableNode(2).ok());
+  ASSERT_TRUE(store.DisableNode(0).ok());
+  ASSERT_TRUE(store.Put("vss/camera_0/96x54_base.var",
+                        std::vector<uint8_t>(400, 2)).ok());
+  ASSERT_TRUE(store.EnableNode(0).ok());
+
+  std::vector<int64_t> prefix = store.NodeBytesForPrefix("vss/camera_0/");
+  EXPECT_EQ(prefix[0], 100);
+  EXPECT_GT(std::max(prefix[1], prefix[2]), 100);
+  EXPECT_EQ(internal::StreamHomeNode(store, 0), 0);
+  EXPECT_EQ(internal::StreamHomeNode(store, 1), -1);  // Nothing staged.
   std::filesystem::remove_all(options.root);
 }
 

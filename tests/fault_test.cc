@@ -6,9 +6,11 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "storage/sharded_store.h"
 #include "storage/vss.h"
 #include "systems/video_source.h"
@@ -77,20 +79,28 @@ TEST(FaultInjectorTest, ZeroProbabilityStillConsumesTheStream) {
   EXPECT_EQ(injector.injected(Site::kRtpLoss), 0);
 }
 
+/// The vr_retry_giveups_total sample of `site`.
+double Giveups(Site site) {
+  return metrics::MetricsRegistry::Global()
+      .GetCounter("vr_retry_giveups_total", "",
+                  "site=\"" + std::string(SiteName(site)) + "\"")
+      .Value();
+}
+
 TEST(RetryPolicyTest, FirstTrySuccessMakesOneAttempt) {
   RetryPolicy policy(Site::kStoreReadFlap, RetryOptions{});
   int attempts = 0;
-  int64_t retries_before = TotalRetries();
+  int64_t retries_before = ThreadRetries();
   EXPECT_TRUE(policy.Run([] { return Status::Ok(); }, &attempts).ok());
   EXPECT_EQ(attempts, 1);
-  EXPECT_EQ(TotalRetries(), retries_before);
+  EXPECT_EQ(ThreadRetries(), retries_before);
 }
 
 TEST(RetryPolicyTest, TransientFailureRetriesUntilSuccess) {
   RetryPolicy policy(Site::kStoreReadFlap, RetryOptions{});
   int calls = 0;
   int attempts = 0;
-  int64_t retries_before = TotalRetries();
+  int64_t retries_before = ThreadRetries();
   Status status = policy.Run(
       [&] {
         return ++calls < 3 ? Status::IoError("transient") : Status::Ok();
@@ -98,7 +108,7 @@ TEST(RetryPolicyTest, TransientFailureRetriesUntilSuccess) {
       &attempts);
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(attempts, 3);
-  EXPECT_EQ(TotalRetries() - retries_before, 2);
+  EXPECT_EQ(ThreadRetries() - retries_before, 2);
 }
 
 TEST(RetryPolicyTest, NonRetryableErrorReturnsImmediately) {
@@ -117,12 +127,12 @@ TEST(RetryPolicyTest, ExhaustedAttemptsGiveUpWithLastError) {
   options.max_backoff = std::chrono::microseconds(200);
   RetryPolicy policy(Site::kStoreReadFlap, options);
   int attempts = 0;
-  int64_t giveups_before = TotalGiveups();
+  double giveups_before = Giveups(Site::kStoreReadFlap);
   Status status =
       policy.Run([] { return Status::IoError("still down"); }, &attempts);
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_EQ(attempts, 3);
-  EXPECT_EQ(TotalGiveups() - giveups_before, 1);
+  EXPECT_EQ(Giveups(Site::kStoreReadFlap) - giveups_before, 1);
 }
 
 TEST(RetryPolicyTest, DeadlineBoundsTheRetryTail) {

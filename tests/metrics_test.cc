@@ -15,9 +15,9 @@
 #include "queries/semantic_cache.h"
 #include "driver/vcd.h"
 #include "storage/vss.h"
+#include "systems/video_source.h"
 #include "video/codec/codec.h"
 #include "video/codec/gop_cache.h"
-#include "video/rtp.h"
 
 namespace visualroad {
 namespace {
@@ -164,8 +164,8 @@ video::codec::EncodedVideo EncodeTestVideo(int frames, int gop_length) {
 /// Every metric name registered in the Global() registry must be documented
 /// in docs/OBSERVABILITY.md. Registration is lazy (a metric exists once its
 /// subsystem first reports), so the test first exercises every instrumented
-/// subsystem — pools, codec, GOP cache, RTP, all three engines, generator,
-/// driver — then walks MetricNames().
+/// subsystem — pools, codec, GOP cache, the online feed, all three engines,
+/// generator, driver — then walks MetricNames().
 TEST(MetricsDocsSyncTest, EveryRegisteredMetricIsDocumented) {
   // Thread pool (vr_pool_*).
   {
@@ -190,17 +190,18 @@ TEST(MetricsDocsSyncTest, EveryRegisteredMetricIsDocumented) {
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   }
 
-  // RTP packetise/reassemble (vr_rtp_*).
+  // Online feed concealment (vr_rtp_frames_concealed_total): a channel
+  // that loses every frame after the first.
   {
     video::codec::EncodedVideo encoded = EncodeTestVideo(/*frames=*/2,
                                                          /*gop_length=*/2);
-    video::rtp::Packetizer packetizer(/*ssrc=*/7);
-    video::rtp::Depacketizer depacketizer;
-    for (const video::rtp::Packet& packet :
-         packetizer.PacketizeVideo(encoded)) {
-      depacketizer.Feed(packet);
-    }
-    EXPECT_TRUE(depacketizer.HasFrame());
+    fault::FaultProfile profile;
+    profile.prob(fault::Site::kRtpLoss) = 1.0;
+    fault::FaultInjector injector(profile, /*seed=*/1);
+    systems::VideoSource source =
+        systems::VideoSource::Online(&encoded, 10000.0, &injector);
+    while (!source.AtEnd()) ASSERT_TRUE(source.Next().ok());
+    EXPECT_EQ(source.frames_degraded(), 1);
   }
 
   // Generator, driver, and engine metrics (vr_generator_*, vr_driver_*,

@@ -389,35 +389,6 @@ TEST_F(QueriesTest, Q10ProducesClientResolution) {
   EXPECT_EQ(result->Height(), 48);
 }
 
-TEST_F(QueriesTest, Q8TrackingSegmentsAreOrderedAndConcatenated) {
-  // Pick the most-sighted plate so the query has content.
-  std::string plate;
-  int best = 0;
-  std::map<std::string, int> counts;
-  for (const sim::VideoAsset* asset : dataset_->TrafficAssets()) {
-    for (const sim::FrameGroundTruth& frame : asset->ground_truth) {
-      for (const sim::GroundTruthBox& box : frame.boxes) {
-        if (box.plate_visible && ++counts[box.plate] > best) {
-          best = counts[box.plate];
-          plate = box.plate;
-        }
-      }
-    }
-  }
-  if (plate.empty()) {
-    GTEST_SKIP() << "no plate sightings in this tiny dataset";
-  }
-  std::vector<TrackingSegment> segments;
-  auto result = TrackingQuery(Context(), plate, &segments);
-  ASSERT_TRUE(result.ok());
-  int64_t total_frames = 0;
-  for (const TrackingSegment& segment : segments) {
-    EXPECT_LE(segment.first_frame, segment.last_frame);
-    total_frames += segment.last_frame - segment.first_frame + 1;
-  }
-  EXPECT_EQ(result->FrameCount(), total_frames);
-}
-
 TEST_F(QueriesTest, Q8UnknownPlateYieldsEmptyVideo) {
   auto result = TrackingQuery(Context(), "??????", nullptr);
   ASSERT_TRUE(result.ok());
@@ -472,6 +443,49 @@ sim::Dataset MakeSyntheticTrackingDataset(const std::string& plate,
   dataset.config.fps = 15;
   dataset.assets.push_back(std::move(asset));
   return dataset;
+}
+
+TEST_F(QueriesTest, Q8TrackingSegmentsAreOrderedAndConcatenated) {
+  // Two painted sightings of one plate on two traffic videos. The second
+  // video's sighting enters first, so ordering by entry time puts it first.
+  sim::Dataset dataset = MakeSyntheticTrackingDataset("KR7W2P", 6, 9);
+  dataset.assets.push_back(
+      std::move(MakeSyntheticTrackingDataset("KR7W2P", 1, 4).assets[0]));
+  ReferenceContext context;
+  context.dataset = &dataset;
+  context.detector_options.base_recall = 0.999;
+  context.detector_options.box_jitter = 0.01;
+  std::vector<TrackingSegment> segments;
+  auto result = TrackingQuery(context, "KR7W2P", &segments);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(segments.size(), 2u);
+  EXPECT_EQ(segments.front().asset_index, 1);
+  EXPECT_EQ(segments.back().asset_index, 0);
+
+  // The result is the segments' source frames, back to back in order.
+  std::vector<Video> decoded;
+  for (const sim::VideoAsset& asset : dataset.assets) {
+    auto video = video::codec::Decode(asset.container.video);
+    ASSERT_TRUE(video.ok()) << video.status().ToString();
+    decoded.push_back(std::move(video).value());
+  }
+  int total_frames = 0;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const TrackingSegment& segment = segments[i];
+    EXPECT_LE(segment.first_frame, segment.last_frame);
+    if (i > 0) {
+      EXPECT_LE(segments[i - 1].first_frame, segment.first_frame);
+    }
+    for (int f = segment.first_frame; f <= segment.last_frame; ++f) {
+      ASSERT_LT(total_frames, result->FrameCount());
+      EXPECT_EQ(result->frames[static_cast<size_t>(total_frames)].y_plane(),
+                decoded[static_cast<size_t>(segment.asset_index)]
+                    .frames[static_cast<size_t>(f)]
+                    .y_plane());
+      ++total_frames;
+    }
+  }
+  EXPECT_EQ(result->FrameCount(), total_frames);
 }
 
 TEST(TrackingDeterministicTest, FindsThePaintedSegment) {

@@ -406,7 +406,9 @@ TEST_F(PlannerTest, UselessPrefilterIsDisabledOnlyWhenWellMeasured) {
   EXPECT_TRUE(plan.stages[1].enabled);
 }
 
-TEST_F(PlannerTest, PrefiltersAreOrderedByCostPerResolvedFrame) {
+TEST_F(PlannerTest, MeasuredPrefiltersKeepTheEngineOrder) {
+  // The plan lists the stages in the order the engine runs them, however
+  // their measured costs compare: the cascade engine has one fixed order.
   SelectivityTracker tracker;
   // "coarse" resolves 80% at 10us/frame (12.5us per resolved frame);
   // "fine" resolves 90% at 100us/frame (111us per resolved frame).
@@ -417,9 +419,14 @@ TEST_F(PlannerTest, PrefiltersAreOrderedByCostPerResolvedFrame) {
   context.stages = {"fine", "coarse", "anchor"};
   QueryPlan plan = PlanQuery(Q2c(), context);
   ASSERT_EQ(plan.stages.size(), 3u);
-  EXPECT_EQ(plan.stages[0].name, "coarse");
-  EXPECT_EQ(plan.stages[1].name, "fine");
+  EXPECT_EQ(plan.stages[0].name, "fine");
+  EXPECT_EQ(plan.stages[1].name, "coarse");
   EXPECT_EQ(plan.stages[2].name, "anchor");
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(plan.stages[i].measured) << plan.stages[i].name;
+    EXPECT_TRUE(plan.stages[i].enabled) << plan.stages[i].name;
+  }
+  EXPECT_NE(ExplainPlan(plan).find("stages=[fine("), std::string::npos);
 }
 
 TEST_F(PlannerTest, TemporalPushdownTrimsTheDecodeWindow) {

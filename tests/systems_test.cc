@@ -12,7 +12,6 @@
 
 #include "driver/datasets.h"
 #include "driver/validation.h"
-#include "storage/vss.h"
 #include "systems/vdbms.h"
 #include "systems/video_source.h"
 #include "video/codec/gop_cache.h"
@@ -59,29 +58,12 @@ sim::Dataset* SystemsTest::dataset_ = nullptr;
 
 // --- VideoSource ---
 
-TEST_F(SystemsTest, OfflineSourceSupportsSeek) {
-  const video::codec::EncodedVideo& stream =
-      dataset_->assets[0].container.video;
-  VideoSource source = VideoSource::Offline(&stream);
-  EXPECT_TRUE(source.SeekSupported());
-  auto first = source.Next();
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE((*first)->keyframe);
-  ASSERT_TRUE(source.Seek(5).ok());
-  EXPECT_EQ(source.position(), 5);
-  // Exhaust and verify OutOfRange at the end.
-  while (!source.AtEnd()) ASSERT_TRUE(source.Next().ok());
-  EXPECT_FALSE(source.Next().ok());
-}
-
 TEST_F(SystemsTest, OnlineSourceIsForwardOnlyAndThrottled) {
   const video::codec::EncodedVideo& stream =
       dataset_->assets[0].container.video;
   // 100x real time keeps the test fast while still exercising the sleep
   // path: 15 frames at 15 fps = 1 simulated second = ~10ms wall.
   VideoSource source = VideoSource::Online(&stream, 100.0);
-  EXPECT_FALSE(source.SeekSupported());
-  EXPECT_FALSE(source.Seek(0).ok());
   auto start = std::chrono::steady_clock::now();
   int frames = 0;
   while (!source.AtEnd()) {
@@ -93,24 +75,6 @@ TEST_F(SystemsTest, OnlineSourceIsForwardOnlyAndThrottled) {
   EXPECT_EQ(frames, stream.FrameCount());
   // Last frame available at (frames-1)/fps / 100 seconds.
   EXPECT_GE(elapsed, (frames - 1) / stream.fps / 100.0 * 0.8);
-}
-
-TEST_F(SystemsTest, OfflineSeekResetsPositionDependentState) {
-  // Regression: Seek must reset every position-dependent member, so any
-  // interleaving of seeks and reads yields exactly the frame at position().
-  const video::codec::EncodedVideo& stream =
-      dataset_->assets[0].container.video;
-  VideoSource source = VideoSource::Offline(&stream);
-  for (int target : {5, 2, 9, 0, 9, 4}) {
-    ASSERT_TRUE(source.Seek(target).ok());
-    EXPECT_EQ(source.position(), target);
-    auto frame = source.Next();
-    ASSERT_TRUE(frame.ok());
-    EXPECT_EQ((*frame)->data, stream.frames[static_cast<size_t>(target)].data);
-    EXPECT_EQ(source.position(), target + 1);
-  }
-  EXPECT_FALSE(source.Seek(-1).ok());
-  EXPECT_FALSE(source.Seek(stream.FrameCount() + 1).ok());
 }
 
 TEST_F(SystemsTest, OnlineSourcePacingAnchorsAtFirstRead) {
@@ -131,6 +95,8 @@ TEST_F(SystemsTest, OnlineSourcePacingAnchorsAtFirstRead) {
                        std::chrono::steady_clock::now() - start).count();
   EXPECT_EQ(frames, stream.FrameCount());
   EXPECT_GE(elapsed, (frames - 1) / stream.fps / 100.0 * 0.8);
+  // Past the end the feed reports OutOfRange instead of blocking.
+  EXPECT_EQ(source.Next().status().code(), StatusCode::kOutOfRange);
 }
 
 TEST_F(SystemsTest, OnlinePacingClampsBurstAfterStall) {
@@ -191,56 +157,6 @@ TEST_F(SystemsTest, OnlineChannelLossFreezesFramesDeterministically) {
   int first = run(29);
   EXPECT_GT(first, 0);  // The lossy profile dropped something.
   EXPECT_EQ(first, run(29));  // Same seed, same freeze-frame schedule.
-}
-
-TEST_F(SystemsTest, StorageBackedSourceMatchesInMemorySource) {
-  namespace fs = std::filesystem;
-  // Re-encode with short GOPs so the windowed source issues several
-  // GOP-aligned range reads instead of one whole-file fetch.
-  auto decoded =
-      video::codec::ParallelDecode(dataset_->assets[0].container.video);
-  ASSERT_TRUE(decoded.ok());
-  video::codec::EncoderConfig config;
-  config.gop_length = 4;
-  auto reencoded = video::codec::ParallelEncode(*decoded, config);
-  ASSERT_TRUE(reencoded.ok());
-  const video::codec::EncodedVideo& stream = *reencoded;
-  std::string root = (fs::temp_directory_path() / "vr_source_vss").string();
-  storage::StoreOptions store_options;
-  store_options.root = root;
-  store_options.metrics_label = "source_test";
-  auto store = storage::ShardedStore::Open(store_options);
-  ASSERT_TRUE(store.ok());
-  storage::VssOptions vss_options;
-  vss_options.store = &*store;
-  auto vss = storage::VideoStorageService::Open(vss_options);
-  ASSERT_TRUE(vss.ok());
-  ASSERT_TRUE((*vss)->Ingest("cam", stream).ok());
-
-  // A small readahead forces several windowed range reads over the file.
-  auto source = VideoSource::StorageOffline(vss->get(), "cam", 8);
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-  EXPECT_TRUE(source->SeekSupported());
-  EXPECT_EQ(source->FrameCount(), stream.FrameCount());
-  for (int i = 0; i < stream.FrameCount(); ++i) {
-    auto frame = source->Next();
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    EXPECT_EQ((*frame)->data, stream.frames[static_cast<size_t>(i)].data);
-  }
-  EXPECT_TRUE(source->AtEnd());
-  EXPECT_FALSE(source->Next().ok());
-  EXPECT_GT((*vss)->stats().range_reads, 1);
-
-  // Seeks inside and outside the fetched window both land exactly.
-  for (int target : {3, 12, 1, stream.FrameCount() - 1}) {
-    ASSERT_TRUE(source->Seek(target).ok());
-    auto frame = source->Next();
-    ASSERT_TRUE(frame.ok());
-    EXPECT_EQ((*frame)->data, stream.frames[static_cast<size_t>(target)].data);
-  }
-  EXPECT_FALSE(vss->get() == nullptr);
-  std::error_code ec;
-  fs::remove_all(root, ec);
 }
 
 // --- Engine capabilities ---
