@@ -1,23 +1,19 @@
-// Reproduces Figure 9: distributed scaling by worker count (paper: EC2
+// Figure 9's setting: query batches across worker processes (paper: EC2
 // p3.2xlarge nodes; near-linear speedup).
 //
-// Real mode (the default) runs a query batch through the dist/ subsystem:
-// a Coordinator spawns N worker processes over Unix-socket RPC, partitions
-// the batch by data locality, and merges results. Because this bench host
-// may have fewer cores than workers, two measurements are reported:
-//   - "wall" — actual wall-clock of the N-worker run on this host;
-//   - "cluster makespan" — each instance's worker-measured execution time
-//     (from the 1-worker baseline) assigned to N nodes longest-processing-
-//     time-first: what a cluster of N one-instance-at-a-time nodes would
-//     take. This is the curve to compare against the paper's, and it is
-//     monotone in N by construction.
-// Every multi-worker run is checked byte-identical against a single-process
-// execution of the same batch.
+// Runs a query batch through the dist/ subsystem: a Coordinator spawns N
+// worker processes over Unix-socket RPC, partitions the batch by data
+// locality, and merges results. Two measurements are reported at 1, 2 and
+// 4 workers:
+//   - "wall" — wall-clock of the N-worker batch on this host, bounded by
+//     its cores;
+//   - "worker busy" — the sum of worker-measured execution seconds, the CPU
+//     work the fleet did.
+// No speedup is claimed: the paper's curve is for tile generation, which
+// the workers do not run yet. Every run is checked byte-identical against a
+// single-process execution of the same batch.
 //
 // Flags:
-//   --simulate       also run the legacy simulated-makespan path (per-tile
-//                    generator timings round-robin-assigned to nodes) and
-//                    report both curves side by side.
 //   --faults [NAME]  run an extra section under the named fault profile
 //                    (default "cluster"): worker crashes mid-batch must be
 //                    re-dispatched and the merged results must still match
@@ -28,12 +24,10 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -48,17 +42,6 @@
 
 namespace visualroad::bench {
 namespace {
-
-/// Longest-processing-time-first assignment of `seconds` to `nodes` bins;
-/// returns the makespan (maximum bin load).
-double LptMakespan(std::vector<double> seconds, int nodes) {
-  std::sort(seconds.begin(), seconds.end(), std::greater<double>());
-  std::vector<double> load(static_cast<size_t>(nodes), 0.0);
-  for (double s : seconds) {
-    *std::min_element(load.begin(), load.end()) += s;
-  }
-  return *std::max_element(load.begin(), load.end());
-}
 
 /// Muxed bytes of every produced output, for byte-identity comparison.
 std::vector<std::vector<uint8_t>> OutputBytes(
@@ -77,16 +60,7 @@ struct RealPoint {
   int workers = 0;
   double wall_seconds = 0.0;
   double busy_seconds = 0.0;
-  double makespan_seconds = 0.0;
-  double speedup = 1.0;
   bool byte_identical = true;
-};
-
-struct SimPoint {
-  int nodes = 0;
-  double wall_seconds = 0.0;
-  double makespan_seconds = 0.0;
-  double speedup = 1.0;
 };
 
 struct FaultPoint {
@@ -120,8 +94,8 @@ struct WarmPoint {
   bool byte_identical = true;
 };
 
-int Run(bool simulate, const char* fault_profile) {
-  PrintBanner("Figure 9 - Distributed scaling by worker count",
+int Run(const char* fault_profile) {
+  PrintBanner("Figure 9 - Distributed execution by worker count",
               "Real coordinator/worker execution over local-socket RPC.");
 
   // One batch, shared by every worker count so the curves are comparable.
@@ -185,9 +159,8 @@ int Run(bool simulate, const char* fault_profile) {
     return options;
   };
 
-  // --- Real scaling curve ---
+  // --- Wall and worker busy time by worker count ---
   std::vector<RealPoint> real_points;
-  std::vector<double> baseline_exec;  // 1-worker per-instance seconds.
   for (int workers : {1, 2, 4}) {
     dist::Coordinator coordinator(base_options(workers));
     if (Status status = coordinator.Start(); !status.ok()) {
@@ -221,31 +194,25 @@ int Run(bool simulate, const char* fault_profile) {
       if (video::container::Mux(container) != direct_bytes[i]) {
         point.byte_identical = false;
       }
-      if (workers == 1) baseline_exec.push_back(outcome.exec_seconds);
     }
-    point.makespan_seconds = LptMakespan(baseline_exec, workers);
-    point.speedup = point.makespan_seconds > 0
-                        ? LptMakespan(baseline_exec, 1) / point.makespan_seconds
-                        : 0.0;
     real_points.push_back(point);
     coordinator.Shutdown();
   }
 
+  const RunContext context = CurrentRunContext();
   driver::TextTable table;
-  table.SetHeader({"Workers", "Wall (this host)", "Cluster makespan", "Speedup",
+  table.SetHeader({"Workers", "Wall (this host)", "Worker busy",
                    "Byte-identical"});
   for (const RealPoint& point : real_points) {
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx", point.speedup);
     table.AddRow({std::to_string(point.workers),
                   driver::FormatSeconds(point.wall_seconds),
-                  driver::FormatSeconds(point.makespan_seconds), speedup,
+                  driver::FormatSeconds(point.busy_seconds),
                   point.byte_identical ? "yes" : "NO"});
   }
   std::printf("%s\n", table.ToString().c_str());
-  std::printf("Cluster makespan models N single-instance nodes from the "
-              "1-worker per-instance\ntimings (LPT assignment); wall-clock is "
-              "bounded by this host's cores.\n\n");
+  std::printf("Worker busy sums the workers' measured execution seconds; "
+              "wall-clock is bounded\nby this host's %d cores.\n\n",
+              context.num_cpus);
 
   // --- Fleet setup: staged store vs per-worker regeneration ---
   SetupPoint setup_point;
@@ -410,71 +377,6 @@ int Run(bool simulate, const char* fault_profile) {
                 warm_point.byte_identical ? "byte-identical" : "DIVERGED");
   }
 
-  // --- Legacy simulated path (--simulate) ---
-  std::vector<SimPoint> sim_points;
-  if (simulate) {
-    int scale = config.scale_factor;
-    std::vector<double> tile_seconds(static_cast<size_t>(scale), 0.0);
-    for (int t = 0; t < scale; ++t) {
-      sim::CityConfig single = config;
-      single.scale_factor = 1;
-      single.seed = config.seed ^ (static_cast<uint64_t>(t) << 8);
-      sim::GeneratorOptions options;
-      options.codec.qp = 26;
-      sim::VisualCityGenerator generator(options);
-      Stopwatch stopwatch;
-      auto tile = generator.Generate(single);
-      if (!tile.ok()) {
-        std::fprintf(stderr, "generation failed: %s\n",
-                     tile.status().ToString().c_str());
-        return 1;
-      }
-      tile_seconds[static_cast<size_t>(t)] = stopwatch.ElapsedSeconds();
-    }
-
-    driver::TextTable sim_table;
-    sim_table.SetHeader(
-        {"Nodes", "Wall (this host)", "Cluster makespan", "Speedup"});
-    double baseline = 0.0;
-    for (int nodes : {1, 2, 4, 8}) {
-      if (nodes > scale) break;
-      sim::GeneratorOptions options;
-      options.codec.qp = 26;
-      options.num_nodes = nodes;
-      sim::VisualCityGenerator generator(options);
-      auto generated = generator.Generate(config);
-      if (!generated.ok()) {
-        std::fprintf(stderr, "generation failed: %s\n",
-                     generated.status().ToString().c_str());
-        return 1;
-      }
-      SimPoint point;
-      point.nodes = nodes;
-      point.wall_seconds = generator.last_stats().total_seconds;
-      std::vector<double> node_load(static_cast<size_t>(nodes), 0.0);
-      for (int t = 0; t < scale; ++t) {
-        node_load[static_cast<size_t>(t % nodes)] +=
-            tile_seconds[static_cast<size_t>(t)];
-      }
-      point.makespan_seconds =
-          *std::max_element(node_load.begin(), node_load.end());
-      if (nodes == 1) baseline = point.makespan_seconds;
-      point.speedup = point.makespan_seconds > 0
-                          ? baseline / point.makespan_seconds
-                          : 0.0;
-      sim_points.push_back(point);
-
-      char speedup[32];
-      std::snprintf(speedup, sizeof(speedup), "%.2fx", point.speedup);
-      sim_table.AddRow({std::to_string(nodes),
-                        driver::FormatSeconds(point.wall_seconds),
-                        driver::FormatSeconds(point.makespan_seconds),
-                        speedup});
-    }
-    std::printf("Legacy simulated generator curve (--simulate):\n%s\n",
-                sim_table.ToString().c_str());
-  }
-
   // --- Fault section (--faults) ---
   FaultPoint faulted;
   bool ran_faults = fault_profile != nullptr;
@@ -537,15 +439,20 @@ int Run(bool simulate, const char* fault_profile) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out << "{\n  \"instances\": " << batch.size() << ",\n  \"real\": [\n";
+  out << "{\n"
+      << "  \"context\": {\n"
+      << "    \"host_name\": \"" << context.host_name << "\",\n"
+      << "    \"num_cpus\": " << context.num_cpus << ",\n"
+      << "    \"build_type\": \"" << context.build_type << "\",\n"
+      << "    \"commit\": \"" << context.commit << "\"\n"
+      << "  },\n"
+      << "  \"instances\": " << batch.size() << ",\n  \"real\": [\n";
   for (size_t i = 0; i < real_points.size(); ++i) {
     const RealPoint& p = real_points[i];
     out << "    {\n"
         << "      \"workers\": " << p.workers << ",\n"
         << "      \"wall_seconds\": " << p.wall_seconds << ",\n"
         << "      \"worker_busy_seconds\": " << p.busy_seconds << ",\n"
-        << "      \"makespan_seconds\": " << p.makespan_seconds << ",\n"
-        << "      \"speedup\": " << p.speedup << ",\n"
         << "      \"byte_identical\": "
         << (p.byte_identical ? "true" : "false") << "\n    }"
         << (i + 1 < real_points.size() ? "," : "") << "\n";
@@ -567,19 +474,6 @@ int Run(bool simulate, const char* fault_profile) {
       << "    \"bytes_shipped\": " << warm_point.bytes_shipped << ",\n"
       << "    \"byte_identical\": "
       << (warm_point.byte_identical ? "true" : "false") << "\n  }";
-  if (simulate) {
-    out << ",\n  \"simulated\": [\n";
-    for (size_t i = 0; i < sim_points.size(); ++i) {
-      const SimPoint& p = sim_points[i];
-      out << "    {\n"
-          << "      \"nodes\": " << p.nodes << ",\n"
-          << "      \"wall_seconds\": " << p.wall_seconds << ",\n"
-          << "      \"makespan_seconds\": " << p.makespan_seconds << ",\n"
-          << "      \"speedup\": " << p.speedup << "\n    }"
-          << (i + 1 < sim_points.size() ? "," : "") << "\n";
-    }
-    out << "  ]";
-  }
   if (ran_faults) {
     out << ",\n  \"faulted\": {\n"
         << "    \"profile\": \"" << faulted.profile << "\",\n"
@@ -607,20 +501,16 @@ int Run(bool simulate, const char* fault_profile) {
 }  // namespace visualroad::bench
 
 int main(int argc, char** argv) {
-  bool simulate = false;
   const char* fault_profile = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--simulate") == 0) {
-      simulate = true;
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
+    if (std::strcmp(argv[i], "--faults") == 0) {
       fault_profile =
           (i + 1 < argc && argv[i + 1][0] != '-') ? argv[++i] : "cluster";
     } else {
       std::fprintf(stderr,
-                   "usage: bench_fig9_distributed [--simulate] "
-                   "[--faults [PROFILE]]\n");
+                   "usage: bench_fig9_distributed [--faults [PROFILE]]\n");
       return 2;
     }
   }
-  return visualroad::bench::Run(simulate, fault_profile);
+  return visualroad::bench::Run(fault_profile);
 }

@@ -28,7 +28,6 @@ struct DistMetrics {
   metrics::Gauge& workers_live;
   metrics::Counter& chunks_dispatched;
   metrics::Counter& chunks_redispatched;
-  metrics::Counter& straggler_redispatches;
   metrics::Counter& instances_executed;
   metrics::Counter& batches;
   metrics::Counter& workers_respawned;
@@ -50,9 +49,6 @@ struct DistMetrics {
           registry.GetCounter(
               "vr_dist_chunks_redispatched_total",
               "Chunks re-enqueued after a lost worker or failed dispatch"),
-          registry.GetCounter(
-              "vr_dist_straggler_redispatches_total",
-              "Re-dispatches triggered by the straggler detector"),
           registry.GetCounter("vr_dist_instances_executed_total",
                               "Query instances completed via the cluster"),
           registry.GetCounter("vr_dist_batches_total",
@@ -83,14 +79,6 @@ std::string DefaultSocketDir() {
 /// One dispatch unit: a sub-range of the batch with a preferred worker.
 struct Chunk {
   int affinity = 0;
-  /// Straggler re-dispatches so far; past a small cap the chunk runs with a
-  /// blocking call, so a uniformly slow fleet can never livelock on
-  /// mutual re-dispatch.
-  int straggles = 0;
-  /// Worker a straggler re-dispatch must land away from: the one still busy
-  /// executing the timed-out request. -1 = no restriction. Honoured only
-  /// while another worker is alive (see internal::MayTakeChunk).
-  int avoid = -1;
   std::vector<RangeItem> items;
 };
 
@@ -99,14 +87,11 @@ struct BatchState {
   std::mutex mutex;
   std::condition_variable cv;
   std::deque<Chunk> queue;
-  int in_flight = 0;
   int remaining = 0;
   std::vector<char> done;
   std::vector<DistInstanceOutcome> results;
   DistBatchStats stats;
 };
-
-constexpr int kMaxStraggles = 2;
 
 /// Leading entry count of an EncodeCacheEntries payload (u32 LE), for
 /// shipping metrics without a full decode.
@@ -126,10 +111,6 @@ int NonNegativeMod(int value, int modulus) {
   if (modulus <= 0) return 0;
   int residue = value % modulus;
   return residue < 0 ? residue + modulus : residue;
-}
-
-bool MayTakeChunk(int avoid, int worker, int other_live_workers) {
-  return avoid != worker || other_live_workers == 0;
 }
 
 int StreamHomeNode(const storage::ShardedStore& store, int camera_id) {
@@ -210,8 +191,8 @@ Status Coordinator::Start() {
   threads.reserve(slots_.size());
   for (size_t i = 0; i < slots_.size(); ++i) {
     threads.emplace_back([this, &payload, &outcomes, i] {
-      StatusOr<std::vector<uint8_t>> response = slots_[i]->client->Call(
-          MethodId::kSetup, payload, std::chrono::milliseconds(0));
+      StatusOr<std::vector<uint8_t>> response =
+          slots_[i]->client->Call(MethodId::kSetup, payload);
       if (!response.ok()) outcomes[i] = response.status();
     });
   }
@@ -242,11 +223,9 @@ void Coordinator::Shutdown() {
 }
 
 int Coordinator::live_workers() const {
-  int live = 0;
-  for (const std::unique_ptr<Slot>& slot : slots_) {
-    if (!slot->lost && slot->client != nullptr && slot->client->open()) ++live;
-  }
-  return live;
+  return static_cast<int>(std::count_if(
+      slots_.begin(), slots_.end(),
+      [](const std::unique_ptr<Slot>& slot) { return !slot->lost; }));
 }
 
 int Coordinator::PreferredWorker(const queries::QueryInstance& instance,
@@ -280,19 +259,19 @@ int Coordinator::PreferredWorker(const queries::QueryInstance& instance,
   return internal::NonNegativeMod(instance.video_index, workers);
 }
 
-void Coordinator::HealFleet(DistBatchStats* stats) {
+void Coordinator::Heal() {
+  if (live_workers() == static_cast<int>(slots_.size())) return;
+  trace::Span heal_span("dist:heal");
   DistMetrics& metrics = DistMetrics::Get();
   for (size_t i = 0; i < slots_.size(); ++i) {
     if (!slots_[i]->lost) continue;
     StatusOr<std::unique_ptr<Slot>> replacement =
         MakeSlot(static_cast<int>(i));
     if (!replacement.ok()) continue;  // Best effort; the slot stays lost.
-    std::vector<uint8_t> setup_payload = EncodeWorkerSetup(options_.setup);
     StatusOr<std::vector<uint8_t>> ack = (*replacement)->client->Call(
-        MethodId::kSetup, setup_payload, std::chrono::milliseconds(0));
+        MethodId::kSetup, EncodeWorkerSetup(options_.setup));
     if (!ack.ok()) continue;  // Replacement dies with its handle.
     slots_[i] = std::move(*replacement);
-    ++stats->workers_respawned;
     metrics.workers_spawned.Increment();
     metrics.workers_respawned.Increment();
     metrics.workers_live.Set(live_workers());
@@ -302,17 +281,14 @@ void Coordinator::HealFleet(DistBatchStats* stats) {
     trace::Span span("dist:cache_ship");
     for (size_t donor = 0; donor < slots_.size(); ++donor) {
       if (donor == i || slots_[donor]->lost) continue;
-      StatusOr<std::vector<uint8_t>> exported = slots_[donor]->client->Call(
-          MethodId::kCacheExport, {}, std::chrono::milliseconds(0));
+      StatusOr<std::vector<uint8_t>> exported =
+          slots_[donor]->client->Call(MethodId::kCacheExport, {});
       if (!exported.ok()) continue;  // Try the next donor.
       int64_t entries = CacheEntryCount(*exported);
       if (entries > 0) {
-        StatusOr<std::vector<uint8_t>> imported = slots_[i]->client->Call(
-            MethodId::kCacheImport, *exported, std::chrono::milliseconds(0));
+        StatusOr<std::vector<uint8_t>> imported =
+            slots_[i]->client->Call(MethodId::kCacheImport, *exported);
         if (imported.ok()) {
-          stats->cache_entries_shipped += entries;
-          stats->cache_bytes_shipped +=
-              static_cast<int64_t>(exported->size());
           metrics.cache_shipped_entries.Increment(
               static_cast<double>(entries));
           metrics.cache_shipped_bytes.Increment(
@@ -333,11 +309,9 @@ void Coordinator::PreSeedCaches(DistBatchStats* stats) {
   std::vector<uint8_t> payload = EncodeCacheEntries(entries);
   DistMetrics& metrics = DistMetrics::Get();
   for (std::unique_ptr<Slot>& slot : slots_) {
-    if (slot->lost || slot->client == nullptr || !slot->client->open()) {
-      continue;
-    }
-    StatusOr<std::vector<uint8_t>> ack = slot->client->Call(
-        MethodId::kCacheImport, payload, std::chrono::milliseconds(0));
+    if (slot->lost) continue;
+    StatusOr<std::vector<uint8_t>> ack =
+        slot->client->Call(MethodId::kCacheImport, payload);
     if (!ack.ok()) continue;  // Best effort: a cold worker is still correct.
     stats->cache_entries_shipped += static_cast<int64_t>(entries.size());
     stats->cache_bytes_shipped += static_cast<int64_t>(payload.size());
@@ -360,11 +334,8 @@ StatusOr<std::vector<DistInstanceOutcome>> Coordinator::ExecuteBatch(
   state.results.resize(batch.size());
   state.remaining = static_cast<int>(batch.size());
 
-  // Fleet maintenance before dispatch: respawn slots lost in earlier
-  // batches, then pre-seed every live worker's semantic cache from the
-  // coordinator-side cache. Both are single-threaded here (no dispatch
-  // threads exist yet), so slot surgery needs no lock.
-  HealFleet(&state.stats);
+  // Pre-seed every live worker's semantic cache from the coordinator-side
+  // cache. No dispatch thread exists yet, so this needs no lock.
   PreSeedCaches(&state.stats);
 
   {
@@ -393,111 +364,52 @@ StatusOr<std::vector<DistInstanceOutcome>> Coordinator::ExecuteBatch(
     }
   }
 
-  // Re-enqueues a chunk under the state lock and wakes every worker thread.
-  auto requeue = [&](Chunk chunk, bool straggler) {
-    state.queue.push_back(std::move(chunk));
-    --state.in_flight;
-    ++state.stats.chunks_redispatched;
-    metrics.chunks_redispatched.Increment();
-    if (straggler) {
-      ++state.stats.straggler_redispatches;
-      metrics.straggler_redispatches.Increment();
-    }
-    state.cv.notify_all();
-  };
-
-  // Declares worker `w` dead: its chunk goes back on the queue for the
-  // survivors to steal. Caller must NOT hold the state lock.
-  auto fail_slot = [&](int w, Chunk chunk) {
+  // Declares worker `w` dead and puts its chunk back on the queue for the
+  // survivors to steal; returns whether it did. With `keep_last` (an
+  // injected crash) the last live worker is spared, so someone is always
+  // left to finish the batch. Caller must NOT hold the state lock.
+  auto fail_slot = [&](int w, Chunk& chunk, bool keep_last) {
     std::lock_guard<std::mutex> lock(state.mutex);
+    if (keep_last && live_workers() == 1) return false;
     slots_[w]->lost = true;
     slots_[w]->client->Close();
     slots_[w]->process.Kill();
     ++state.stats.workers_lost;
     metrics.workers_lost.Increment();
     metrics.workers_live.Set(live_workers());
-    requeue(std::move(chunk), /*straggler=*/false);
+    state.queue.push_back(std::move(chunk));
+    ++state.stats.chunks_redispatched;
+    metrics.chunks_redispatched.Increment();
+    state.cv.notify_all();
+    return true;
   };
 
   auto worker_loop = [&](int w) {
-    int64_t thread_retries_base = fault::ThreadRetries();
-    // Folds this thread's rpc_send retry count into the batch stats; runs
-    // on every exit path.
-    auto account_retries = [&] {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      state.stats.rpc_retries += fault::ThreadRetries() - thread_retries_base;
-    };
+    const int64_t retries_before = fault::ThreadRetries();
     for (;;) {
       Chunk chunk;
-      int live = 0;
       {
         std::unique_lock<std::mutex> lock(state.mutex);
-        // Eligibility honours straggler avoid-tags: a re-dispatched chunk
-        // must land on a different live worker, not boomerang back to the
-        // one still busy on the timed-out request. Recomputed inside the
-        // wait because `lost` flips while we sleep.
-        auto other_live = [&] {
-          int n = 0;
-          for (size_t i = 0; i < slots_.size(); ++i) {
-            if (static_cast<int>(i) != w && !slots_[i]->lost) ++n;
-          }
-          return n;
-        };
-        auto eligible = [&](const Chunk& c) {
-          return internal::MayTakeChunk(c.avoid, w, other_live());
-        };
         state.cv.wait(lock, [&] {
-          return state.remaining == 0 ||
-                 std::any_of(state.queue.begin(), state.queue.end(), eligible);
+          return state.remaining == 0 || !state.queue.empty();
         });
         if (state.remaining == 0) break;
         // Prefer a chunk whose inputs live near this worker; steal
         // otherwise (an idle worker beats a local one that is busy).
-        auto it = std::find_if(
-            state.queue.begin(), state.queue.end(),
-            [&](const Chunk& c) { return c.affinity == w && eligible(c); });
-        if (it == state.queue.end()) {
-          it = std::find_if(state.queue.begin(), state.queue.end(), eligible);
-        }
+        auto it = std::find_if(state.queue.begin(), state.queue.end(),
+                               [&](const Chunk& c) { return c.affinity == w; });
+        if (it == state.queue.end()) it = state.queue.begin();
         chunk = std::move(*it);
         state.queue.erase(it);
-        ++state.in_flight;
-        state.stats.in_flight_peak = std::max<int64_t>(
-            state.stats.in_flight_peak, state.in_flight);
         ++state.stats.chunks_dispatched;
         metrics.chunks_dispatched.Increment();
-        for (const std::unique_ptr<Slot>& slot : slots_) {
-          if (!slot->lost) ++live;
-        }
       }
 
       // Injected worker crash: this worker dies before the dispatch lands.
-      // The guard re-checks survivors under the lock so concurrent crashes
-      // can never take the last live worker.
       if (options_.faults != nullptr &&
-          options_.faults->ShouldInject(fault::Site::kWorkerCrash)) {
-        bool died = false;
-        {
-          std::lock_guard<std::mutex> lock(state.mutex);
-          int live_others = 0;
-          for (size_t i = 0; i < slots_.size(); ++i) {
-            if (static_cast<int>(i) != w && !slots_[i]->lost) ++live_others;
-          }
-          if (live_others > 0) {
-            slots_[w]->lost = true;
-            slots_[w]->client->Close();
-            slots_[w]->process.Kill();
-            ++state.stats.workers_lost;
-            metrics.workers_lost.Increment();
-            metrics.workers_live.Set(live_workers());
-            requeue(std::move(chunk), /*straggler=*/false);
-            died = true;
-          }
-        }
-        if (died) {
-          account_retries();
-          return;
-        }
+          options_.faults->ShouldInject(fault::Site::kWorkerCrash) &&
+          fail_slot(w, chunk, /*keep_last=*/true)) {
+        break;
       }
 
       ExecuteRangeRequest request;
@@ -505,102 +417,55 @@ StatusOr<std::vector<DistInstanceOutcome>> Coordinator::ExecuteBatch(
       request.output_dir = output_dir;
       request.items = chunk.items;
       std::vector<uint8_t> payload = EncodeExecuteRequest(request);
-      // Straggler detection needs someone else to pick the work up: the
-      // last live worker — and a chunk that already straggled past the cap
-      // — always get a blocking call.
-      std::chrono::milliseconds timeout =
-          (live > 1 && chunk.straggles < kMaxStraggles)
-              ? options_.call_timeout
-              : std::chrono::milliseconds(0);
-
-      std::vector<uint8_t> response_bytes;
-      bool straggled = false;
-      fault::RetryPolicy policy(fault::Site::kRpcSend, options_.rpc_retry);
+      std::vector<uint8_t> response;
+      fault::RetryPolicy policy(fault::Site::kRpcSend, fault::RetryOptions{});
       Status sent = policy.Run([&]() -> Status {
         if (options_.faults != nullptr &&
             options_.faults->ShouldInject(fault::Site::kRpcSend)) {
           return Status::IoError("injected rpc send fault");
         }
         trace::Span span("rpc:call");
-        StatusOr<std::vector<uint8_t>> response =
-            slots_[w]->client->Call(MethodId::kExecuteRange, payload, timeout);
-        if (response.ok()) {
-          response_bytes = std::move(response).value();
-          return Status::Ok();
-        }
-        if (response.status().code() == StatusCode::kIoError &&
-            response.status().message().find("timeout") != std::string::npos) {
-          // Straggler: hand the chunk to someone else. Non-retryable so
-          // the policy stops here; the connection stays usable because the
-          // client discards the late response by correlation id.
-          straggled = true;
-          return Status::FailedPrecondition("rpc response deadline exceeded");
-        }
-        return response.status();
+        VR_ASSIGN_OR_RETURN(response, slots_[w]->client->Call(
+                                          MethodId::kExecuteRange, payload));
+        return Status::Ok();
       });
-
-      if (straggled) {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        ++chunk.straggles;
-        // This worker is still chewing on the timed-out request; steer the
-        // re-dispatch to someone else.
-        chunk.avoid = w;
-        requeue(std::move(chunk), /*straggler=*/true);
-        continue;
+      StatusOr<std::vector<InstanceResult>> decoded =
+          sent.ok() ? DecodeExecuteResponse(response)
+                    : StatusOr<std::vector<InstanceResult>>(sent);
+      if (!decoded.ok()) {
+        // Transport dead after retries, or a garbled response: the worker
+        // is gone.
+        fail_slot(w, chunk, /*keep_last=*/false);
+        break;
       }
-      if (!sent.ok()) {
-        if (sent.code() == StatusCode::kFailedPrecondition) {
-          // The worker refused an already-expired request; it is healthy,
-          // the work just needs a fresh deadline.
-          std::lock_guard<std::mutex> lock(state.mutex);
-          ++chunk.straggles;
-          chunk.avoid = w;
-          requeue(std::move(chunk), /*straggler=*/true);
+
+      // Merge by batch index. The indices come from another process, so one
+      // outside the batch or already merged is dropped.
+      std::lock_guard<std::mutex> lock(state.mutex);
+      for (InstanceResult& result : *decoded) {
+        if (result.index < 0 ||
+            result.index >= static_cast<int>(state.done.size()) ||
+            state.done[result.index]) {
           continue;
         }
-        // Transport dead after retries: the worker is gone.
-        fail_slot(w, std::move(chunk));
-        account_retries();
-        return;
+        state.done[result.index] = 1;
+        --state.remaining;
+        DistInstanceOutcome& outcome = state.results[result.index];
+        outcome.state = static_cast<DistInstanceOutcome::State>(result.outcome);
+        outcome.resource_exhausted = result.resource_exhausted;
+        outcome.error = std::move(result.error);
+        outcome.stats = result.stats;
+        outcome.exec_seconds = result.exec_seconds;
+        outcome.worker = w;
+        outcome.output = std::move(result.output);
+        state.stats.worker_busy_seconds += result.exec_seconds;
+        metrics.instances_executed.Increment();
       }
-
-      StatusOr<std::vector<InstanceResult>> decoded =
-          DecodeExecuteResponse(response_bytes);
-      if (!decoded.ok()) {
-        fail_slot(w, std::move(chunk));
-        account_retries();
-        return;
-      }
-
-      {
-        // Merge: first writer wins per instance (a straggler's chunk may
-        // complete twice, once per dispatch).
-        std::lock_guard<std::mutex> lock(state.mutex);
-        for (InstanceResult& result : *decoded) {
-          if (result.index < 0 ||
-              result.index >= static_cast<int>(state.done.size()) ||
-              state.done[result.index]) {
-            continue;
-          }
-          state.done[result.index] = 1;
-          --state.remaining;
-          DistInstanceOutcome& outcome = state.results[result.index];
-          outcome.state =
-              static_cast<DistInstanceOutcome::State>(result.outcome);
-          outcome.resource_exhausted = result.resource_exhausted;
-          outcome.error = std::move(result.error);
-          outcome.stats = result.stats;
-          outcome.exec_seconds = result.exec_seconds;
-          outcome.worker = w;
-          outcome.output = std::move(result.output);
-          state.stats.worker_busy_seconds += result.exec_seconds;
-          metrics.instances_executed.Increment();
-        }
-        --state.in_flight;
-        state.cv.notify_all();
-      }
+      state.cv.notify_all();
     }
-    account_retries();
+    // Fold this thread's rpc_send retries into the batch stats.
+    std::lock_guard<std::mutex> lock(state.mutex);
+    state.stats.rpc_retries += fault::ThreadRetries() - retries_before;
   };
 
   std::vector<std::thread> threads;

@@ -1,7 +1,6 @@
 #ifndef VISUALROAD_DIST_COORDINATOR_H_
 #define VISUALROAD_DIST_COORDINATOR_H_
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,12 +42,6 @@ struct CoordinatorOptions {
   /// Optional fault source driving the rpc_send / worker_crash sites.
   /// Borrowed; must outlive the coordinator.
   fault::FaultInjector* faults = nullptr;
-  /// Retry budget for RPC dispatch (the rpc_send site).
-  fault::RetryOptions rpc_retry;
-  /// Straggler detector: per-call response deadline, shipped in the frame so
-  /// the worker refuses expired work. 0 disables the detector (calls block),
-  /// which is the right default when a chunk legitimately takes a while.
-  std::chrono::milliseconds call_timeout{0};
   /// Instances per dispatch chunk; 0 sizes chunks so each worker sees about
   /// two, which keeps the re-dispatch unit small without drowning the
   /// protocol in round trips.
@@ -75,30 +68,23 @@ struct DistBatchStats {
   int64_t chunks_dispatched = 0;
   /// Chunks re-enqueued after a lost worker or failed dispatch.
   int64_t chunks_redispatched = 0;
-  /// Re-dispatches triggered by the straggler detector specifically.
-  int64_t straggler_redispatches = 0;
   /// RPC attempts beyond the first (rpc_send retries).
   int64_t rpc_retries = 0;
   /// Workers that died (or were declared dead) during the batch.
   int64_t workers_lost = 0;
-  /// Replacement workers respawned (and set up) for slots lost in earlier
-  /// batches, before this batch dispatched.
-  int64_t workers_respawned = 0;
-  /// Semantic-cache entries / encoded bytes shipped to workers this batch
-  /// (pre-seeding plus replacement warm-starts).
+  /// Semantic-cache entries / encoded bytes pre-seeded into workers before
+  /// this batch dispatched.
   int64_t cache_entries_shipped = 0;
   int64_t cache_bytes_shipped = 0;
-  /// Peak number of chunks simultaneously dispatched to workers.
-  int64_t in_flight_peak = 0;
-  /// Sum of worker-measured per-instance execution seconds: the work the
-  /// cluster actually did, which the distributed bench turns into makespan.
+  /// Sum of worker-measured per-instance execution seconds: the CPU work
+  /// the cluster did, whatever the coordinator's wall clock.
   double worker_busy_seconds = 0.0;
 };
 
 /// Owns a fleet of worker processes and runs query batches across them:
-/// partitions a batch by ShardedStore data locality, ships chunks over the
-/// RPC layer, re-dispatches stragglers and dead workers' chunks, and merges
-/// per-instance results back into batch order. Results are byte-identical
+/// partitions a batch by ShardedStore data locality, ships each chunk as one
+/// blocking RPC, re-dispatches dead workers' chunks, and merges per-instance
+/// results back into batch order. Results are byte-identical
 /// to single-process execution because workers regenerate the same dataset
 /// and run the same engine (DESIGN.md Section 15).
 ///
@@ -118,20 +104,27 @@ class Coordinator {
   /// engine). Blocking; a failure tears the fleet back down.
   Status Start();
 
-  /// Executes `batch` across the fleet. Returns one outcome per instance in
-  /// batch order. Per-instance failures are reported in the outcome, not as
-  /// an overall error; the call itself fails only when work cannot complete
-  /// at all (every worker lost with instances still pending).
+  /// Executes `batch` across the live workers. Returns one outcome per
+  /// instance in batch order. Per-instance failures are reported in the
+  /// outcome, not as an overall error; the call itself fails only when work
+  /// cannot complete at all (every worker lost with instances still
+  /// pending). Lost slots stay lost until Heal().
   StatusOr<std::vector<DistInstanceOutcome>> ExecuteBatch(
       const std::vector<queries::QueryInstance>& batch,
       systems::OutputMode mode, const std::string& output_dir,
       DistBatchStats* stats = nullptr);
 
+  /// Respawns slots lost in earlier batches in place: Setup, then a warm
+  /// start from a surviving donor's exported semantic cache. Best effort; a
+  /// slot that fails to come back stays lost. Call it between batches,
+  /// outside any measured window (it can regenerate a whole dataset).
+  void Heal();
+
   /// Graceful teardown: Shutdown RPC to every live worker, then reap.
   /// Idempotent; the destructor calls it.
   void Shutdown();
 
-  /// Workers currently believed alive.
+  /// Workers not declared lost.
   int live_workers() const;
 
   const CoordinatorOptions& options() const { return options_; }
@@ -148,9 +141,6 @@ class Coordinator {
   StatusOr<std::unique_ptr<Slot>> MakeSlot(int index);
   /// Spawns slot `index`'s process and connects + handshakes its client.
   Status SpawnSlot(int index);
-  /// Respawns lost slots in place (Setup + warm-start from a surviving
-  /// donor's exported cache). Best-effort; called before a batch dispatches.
-  void HealFleet(DistBatchStats* stats);
   /// Ships the local semantic cache's ready entries to every live worker.
   /// Best-effort; a worker that fails the import just stays cold.
   void PreSeedCaches(DistBatchStats* stats);
@@ -168,13 +158,6 @@ namespace internal {
 /// dividend's sign, so a negative (unset) video index must not be used to
 /// address a per-worker share directly.
 int NonNegativeMod(int value, int modulus);
-
-/// Dispatch eligibility: may worker `worker` take a chunk tagged to avoid
-/// `avoid` (the worker a straggler re-dispatch is fleeing) when
-/// `other_live_workers` other workers are still alive? Self-steal is allowed
-/// only as a last resort — otherwise the re-dispatch would land on the very
-/// worker that is still busy executing the old request.
-bool MayTakeChunk(int avoid, int worker, int other_live_workers);
 
 /// Locality hint: the datanode holding the most bytes of camera
 /// `camera_id`'s stream object (storage::StreamObjectName), or -1 when

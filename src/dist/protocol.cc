@@ -328,20 +328,4 @@ StatusOr<std::vector<queries::SemanticEntry>> DecodeCacheEntries(
   return entries;
 }
 
-std::vector<uint8_t> EncodeWorkerStats(const WorkerStats& stats) {
-  ByteWriter writer;
-  WriteEngineStats(writer, stats.engine);
-  writer.U64(static_cast<uint64_t>(stats.instances_executed));
-  return writer.Take();
-}
-
-StatusOr<WorkerStats> DecodeWorkerStats(const std::vector<uint8_t>& bytes) {
-  ByteCursor cursor(bytes);
-  WorkerStats stats;
-  stats.engine = ReadEngineStats(cursor);
-  stats.instances_executed = static_cast<int64_t>(cursor.U64());
-  if (!cursor.ok()) return Status::DataLoss("malformed worker stats payload");
-  return stats;
-}
-
 }  // namespace visualroad::dist

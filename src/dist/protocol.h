@@ -77,8 +77,8 @@ struct InstanceResult {
   bool resource_exhausted = false;
   std::string error;
   systems::EngineStats stats;
-  /// Worker-measured execution seconds for this instance; feeds the
-  /// distributed bench's cluster-makespan accounting.
+  /// Worker-measured execution seconds for this instance; summed into
+  /// DistBatchStats::worker_busy_seconds.
   double exec_seconds = 0.0;
   systems::QueryOutput output;
 };
@@ -87,15 +87,6 @@ std::vector<uint8_t> EncodeExecuteResponse(
     const std::vector<InstanceResult>& results);
 StatusOr<std::vector<InstanceResult>> DecodeExecuteResponse(
     const std::vector<uint8_t>& bytes);
-
-/// Stats RPC response: cumulative engine counters plus instances executed.
-struct WorkerStats {
-  systems::EngineStats engine;
-  int64_t instances_executed = 0;
-};
-
-std::vector<uint8_t> EncodeWorkerStats(const WorkerStats& stats);
-StatusOr<WorkerStats> DecodeWorkerStats(const std::vector<uint8_t>& bytes);
 
 /// Semantic-cache shipping payload (kCacheExport response / kCacheImport
 /// request): a U32 count of ready entries, each in the layout the cache

@@ -18,8 +18,8 @@ namespace visualroad::dist {
 namespace {
 
 /// Header bytes after the length field: version, type, method, reserved,
-/// correlation, deadline, payload_size.
-constexpr size_t kHeaderSize = 4 + 8 + 8 + 4;
+/// correlation, payload_size.
+constexpr size_t kHeaderSize = 4 + 8 + 4;
 
 struct RpcMetrics {
   metrics::Counter& frames_sent;
@@ -28,7 +28,6 @@ struct RpcMetrics {
   metrics::Counter& bytes_received;
   metrics::Counter& checksum_failures;
   metrics::Counter& frame_rejects;
-  metrics::Counter& deadline_expirations;
   metrics::Counter& calls;
 
   static RpcMetrics& Get() {
@@ -49,9 +48,6 @@ struct RpcMetrics {
               "vr_rpc_frame_rejects_total",
               "Received frames rejected before payload read (bad magic, "
               "unknown version, oversized length)"),
-          registry.GetCounter(
-              "vr_rpc_deadline_expirations_total",
-              "Requests refused because their deadline had already passed"),
           registry.GetCounter("vr_rpc_calls_total",
                               "Request/response round trips initiated"),
       };
@@ -75,10 +71,6 @@ const std::array<uint32_t, 256>& CrcTable() {
   return *table;
 }
 
-int PollBudget(std::chrono::steady_clock::time_point deadline) {
-  return internal::PollBudgetMs(deadline);
-}
-
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t size) {
@@ -90,13 +82,6 @@ uint32_t Crc32(const uint8_t* data, size_t size) {
   return c ^ 0xFFFFFFFFu;
 }
 
-uint64_t NowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 std::vector<uint8_t> EncodeFrame(const Frame& frame) {
   ByteWriter body;
   body.U8(kRpcVersion);
@@ -104,7 +89,6 @@ std::vector<uint8_t> EncodeFrame(const Frame& frame) {
   body.U8(static_cast<uint8_t>(frame.method));
   body.U8(0);  // Reserved.
   body.U64(frame.correlation_id);
-  body.U64(frame.deadline_micros);
   body.U32(static_cast<uint32_t>(frame.payload.size()));
   const std::vector<uint8_t>& header = body.bytes();
 
@@ -139,18 +123,15 @@ Status DecodeStatusPayload(const std::vector<uint8_t>& payload) {
 }
 
 RpcConnection::RpcConnection(RpcConnection&& other) noexcept
-    : fd_(other.fd_), partial_(std::move(other.partial_)) {
+    : fd_(other.fd_) {
   other.fd_ = -1;
-  other.partial_.clear();
 }
 
 RpcConnection& RpcConnection::operator=(RpcConnection&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
-    partial_ = std::move(other.partial_);
     other.fd_ = -1;
-    other.partial_.clear();
   }
   return *this;
 }
@@ -162,7 +143,6 @@ void RpcConnection::Close() {
     ::close(fd_);
     fd_ = -1;
   }
-  partial_.clear();
 }
 
 StatusOr<RpcConnection> RpcConnection::ConnectUnix(
@@ -214,35 +194,30 @@ Status RpcConnection::SendFrame(const Frame& frame) {
   return Status::Ok();
 }
 
-Status RpcConnection::FillBuffer(size_t target,
-                                 std::chrono::steady_clock::time_point deadline,
-                                 bool has_deadline) {
-  while (partial_.size() < target) {
+Status RpcConnection::ReadExactly(
+    uint8_t* out, size_t size, std::chrono::steady_clock::time_point deadline,
+    bool has_deadline) {
+  size_t have = 0;
+  while (have < size) {
     if (has_deadline) {
-      if (std::chrono::steady_clock::now() >= deadline) {
-        return Status::IoError("rpc receive timeout");
-      }
       pollfd pfd{fd_, POLLIN, 0};
-      int ready = ::poll(&pfd, 1, PollBudget(deadline));
+      int ready = ::poll(&pfd, 1, internal::PollBudgetMs(deadline));
       if (ready < 0) {
         if (errno == EINTR) continue;
         return Status::IoError(std::string("rpc poll: ") + ::strerror(errno));
       }
       if (ready == 0) return Status::IoError("rpc receive timeout");
     }
-    size_t have = partial_.size();
-    partial_.resize(target);
-    ssize_t n = ::recv(fd_, partial_.data() + have, target - have, 0);
-    if (n <= 0) {
-      partial_.resize(have);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::IoError(std::string("rpc recv: ") + ::strerror(errno));
-      }
+    ssize_t n = ::recv(fd_, out + have, size - have, 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("rpc recv: ") + ::strerror(errno));
+    }
+    if (n == 0) {
       return Status::DataLoss(have == 0 ? "rpc connection closed by peer"
                                         : "truncated rpc frame");
     }
-    partial_.resize(have + static_cast<size_t>(n));
+    have += static_cast<size_t>(n);
     RpcMetrics::Get().bytes_received.Increment(static_cast<double>(n));
   }
   return Status::Ok();
@@ -250,33 +225,36 @@ Status RpcConnection::FillBuffer(size_t target,
 
 StatusOr<Frame> RpcConnection::RecvFrame(std::chrono::milliseconds timeout) {
   if (fd_ < 0) return Status::IoError("rpc connection closed");
+  StatusOr<Frame> frame = ReadFrame(timeout);
+  // A failed read leaves the stream at an unknown offset: what is left of
+  // the frame would be parsed as the next frame's header.
+  if (!frame.ok()) Close();
+  return frame;
+}
+
+StatusOr<Frame> RpcConnection::ReadFrame(std::chrono::milliseconds timeout) {
   bool has_deadline = timeout.count() > 0;
   auto deadline = std::chrono::steady_clock::now() + timeout;
 
-  // The frame assembles in partial_ so a deadline expiry at any point is
-  // resumable: the next RecvFrame continues from the bytes already read
-  // instead of treating the remainder of a torn frame as a fresh prefix.
-  constexpr size_t kPrefixSize = 8;
-  VR_RETURN_IF_ERROR(FillBuffer(kPrefixSize, deadline, has_deadline));
-  ByteCursor prefix_cursor(partial_.data(), kPrefixSize);
+  uint8_t prefix[8];
+  VR_RETURN_IF_ERROR(
+      ReadExactly(prefix, sizeof(prefix), deadline, has_deadline));
+  ByteCursor prefix_cursor(prefix, sizeof(prefix));
   uint32_t magic = prefix_cursor.U32();
   uint32_t length = prefix_cursor.U32();
   if (magic != kRpcMagic) {
     RpcMetrics::Get().frame_rejects.Increment();
-    partial_.clear();
     return Status::DataLoss("bad rpc frame magic");
   }
   // The announced length covers the fixed header plus payload plus CRC; an
   // oversized announcement is rejected before any allocation.
   if (length < kHeaderSize + 4 || length > kHeaderSize + kMaxFramePayload + 4) {
     RpcMetrics::Get().frame_rejects.Increment();
-    partial_.clear();
     return Status::InvalidArgument("oversized or undersized rpc frame");
   }
 
-  VR_RETURN_IF_ERROR(FillBuffer(kPrefixSize + length, deadline, has_deadline));
-  std::vector<uint8_t> body(partial_.begin() + kPrefixSize, partial_.end());
-  partial_.clear();
+  std::vector<uint8_t> body(length);
+  VR_RETURN_IF_ERROR(ReadExactly(body.data(), length, deadline, has_deadline));
 
   uint32_t stored_crc = body[length - 4] |
                         (static_cast<uint32_t>(body[length - 3]) << 8) |
@@ -299,7 +277,6 @@ StatusOr<Frame> RpcConnection::RecvFrame(std::chrono::milliseconds timeout) {
   frame.method = static_cast<MethodId>(cursor.U8());
   cursor.U8();  // Reserved.
   frame.correlation_id = cursor.U64();
-  frame.deadline_micros = cursor.U64();
   uint32_t payload_size = cursor.U32();
   if (!cursor.ok() || payload_size != length - kHeaderSize - 4) {
     return Status::DataLoss("rpc frame header/payload size mismatch");
@@ -371,26 +348,14 @@ StatusOr<RpcListener> RpcListener::ListenUnix(const std::string& path) {
   return listener;
 }
 
-StatusOr<RpcConnection> RpcListener::Accept(std::chrono::milliseconds timeout) {
+StatusOr<RpcConnection> RpcListener::Accept() {
   if (fd_ < 0) return Status::IoError("rpc listener closed");
-  bool has_deadline = timeout.count() > 0;
-  auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {
-    if (has_deadline) {
-      pollfd pfd{fd_, POLLIN, 0};
-      int ready = ::poll(&pfd, 1, PollBudget(deadline));
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        return Status::IoError(std::string("accept poll: ") + ::strerror(errno));
-      }
-      if (ready == 0) return Status::IoError("accept timeout");
-    }
     int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
+    if (fd >= 0) return RpcConnection(fd);
+    if (errno != EINTR) {
       return Status::IoError(std::string("accept: ") + ::strerror(errno));
     }
-    return RpcConnection(fd);
   }
 }
 
@@ -421,38 +386,25 @@ StatusOr<std::vector<uint8_t>> RpcClient::Call(
   request.type = FrameType::kRequest;
   request.method = method;
   request.correlation_id = next_correlation_++;
-  if (timeout.count() > 0) {
-    request.deadline_micros =
-        NowMicros() + static_cast<uint64_t>(
-                          std::chrono::duration_cast<std::chrono::microseconds>(
-                              timeout)
-                              .count());
-  }
   request.payload = payload;
   VR_RETURN_IF_ERROR(connection_.SendFrame(request));
 
-  for (;;) {
-    VR_ASSIGN_OR_RETURN(Frame response, connection_.RecvFrame(timeout));
-    if (response.correlation_id != request.correlation_id) {
-      // A stale response from a call abandoned on timeout; skip it and keep
-      // waiting for ours.
-      continue;
-    }
-    if (response.type == FrameType::kResponseError) {
-      return DecodeStatusPayload(response.payload);
-    }
-    if (response.type != FrameType::kResponseOk) {
-      return Status::DataLoss("unexpected rpc frame type in response");
-    }
-    return std::move(response.payload);
+  VR_ASSIGN_OR_RETURN(Frame response, connection_.RecvFrame(timeout));
+  if (response.correlation_id != request.correlation_id) {
+    // Calls on a connection never overlap, so the stream is out of step.
+    connection_.Close();
+    return Status::DataLoss("rpc response carries another call's id");
   }
+  if (response.type == FrameType::kResponseError) {
+    return DecodeStatusPayload(response.payload);
+  }
+  if (response.type != FrameType::kResponseOk) {
+    return Status::DataLoss("unexpected rpc frame type in response");
+  }
+  return std::move(response.payload);
 }
 
 namespace internal {
-
-void CountDeadlineExpiration() {
-  RpcMetrics::Get().deadline_expirations.Increment();
-}
 
 int PollBudgetMs(std::chrono::steady_clock::time_point deadline) {
   auto now = std::chrono::steady_clock::now();

@@ -14,7 +14,7 @@ namespace visualroad::dist {
 /// every frame header. A version bump is a handshake-time rejection, not a
 /// silent parse divergence.
 inline constexpr uint32_t kRpcMagic = 0x43505256;  // 'V''R''P''C' in LE bytes.
-inline constexpr uint8_t kRpcVersion = 4;
+inline constexpr uint8_t kRpcVersion = 5;
 
 /// Hard ceiling on a frame payload. A header announcing more than this is
 /// rejected before any payload allocation — the defense against a corrupt or
@@ -26,11 +26,9 @@ enum class MethodId : uint8_t {
   kHello = 0,         // Handshake: magic + version -> version + pid.
   kSetup = 1,         // Ship WorkerSetup; worker builds dataset + engine.
   kExecuteRange = 2,  // Execute a sub-range of query instances.
-  kHealth = 3,        // Liveness probe -> pid.
-  kStats = 4,         // Cumulative engine stats.
-  kShutdown = 5,      // Graceful exit; worker acks then leaves its loop.
-  kCacheExport = 6,   // Snapshot the worker's semantic-cache entries.
-  kCacheImport = 7,   // Seed the worker's semantic cache with shipped entries.
+  kShutdown = 3,      // Graceful exit; worker acks then leaves its loop.
+  kCacheExport = 4,   // Snapshot the worker's semantic-cache entries.
+  kCacheImport = 5,   // Seed the worker's semantic cache with shipped entries.
 };
 
 /// Frame roles. Error responses carry a serialized Status as payload.
@@ -42,28 +40,20 @@ enum class FrameType : uint8_t {
 
 /// One decoded frame. On the wire a frame is:
 ///   u32 magic | u32 length | u8 version | u8 type | u8 method | u8 reserved
-///   | u64 correlation_id | u64 deadline_micros | u32 payload_size
-///   | payload bytes | u32 crc32
+///   | u64 correlation_id | u32 payload_size | payload bytes | u32 crc32
 /// where `length` counts everything after itself and the CRC covers
 /// [version .. payload]. All integers little-endian.
 struct Frame {
   FrameType type = FrameType::kRequest;
   MethodId method = MethodId::kHello;
-  /// Correlates a response to its request; a client discards frames whose
-  /// id does not match the call in flight (stale responses after a timeout).
+  /// Correlates a response to its request. A connection carries one call at
+  /// a time, so a response with any other id is DataLoss.
   uint64_t correlation_id = 0;
-  /// Absolute deadline in steady-clock microseconds (comparable across
-  /// processes on one machine); 0 = no deadline. A server receiving an
-  /// already-expired request rejects it without executing.
-  uint64_t deadline_micros = 0;
   std::vector<uint8_t> payload;
 };
 
 /// CRC-32 (IEEE 802.3, reflected) over `size` bytes.
 uint32_t Crc32(const uint8_t* data, size_t size);
-
-/// Steady-clock now in microseconds (the deadline clock).
-uint64_t NowMicros();
 
 /// Serialises a frame to wire bytes (magic through CRC).
 std::vector<uint8_t> EncodeFrame(const Frame& frame);
@@ -95,34 +85,28 @@ class RpcConnection {
   Status SendFrame(const Frame& frame);
 
   /// Reads one frame. `timeout` <= 0 blocks indefinitely. Errors:
-  ///  - IoError "rpc receive timeout" when the deadline passes mid-frame;
+  ///  - IoError "rpc receive timeout" when the deadline passes;
   ///  - DataLoss on EOF mid-frame, bad magic, or checksum mismatch;
   ///  - InvalidArgument on an oversized payload announcement (rejected
   ///    before allocation) or an unknown protocol version.
-  /// A timeout is RESUMABLE: bytes of the interrupted frame stay buffered
-  /// and the next RecvFrame picks up where this one stopped, so abandoning
-  /// a call on its deadline never desynchronises the stream. The straggler
-  /// path depends on this — a late oversize response is skipped whole by
-  /// correlation id, not torn mid-frame. The DataLoss / InvalidArgument
-  /// errors do leave the stream unsynchronised; callers close and reconnect.
+  /// Every error closes the connection, a timeout included: the rest of an
+  /// interrupted frame would otherwise be read as the start of the next one.
+  /// Callers reconnect.
   StatusOr<Frame> RecvFrame(std::chrono::milliseconds timeout);
 
   bool open() const { return fd_ >= 0; }
   void Close();
 
  private:
-  /// Appends socket bytes to `partial_` until it holds at least `target`
-  /// bytes of the in-progress frame. A deadline expiry returns IoError with
-  /// `partial_` intact (the resumability above); EOF and socket errors are
-  /// terminal.
-  Status FillBuffer(size_t target,
-                    std::chrono::steady_clock::time_point deadline,
-                    bool has_deadline);
+  /// RecvFrame without the close on failure.
+  StatusOr<Frame> ReadFrame(std::chrono::milliseconds timeout);
+  /// Reads exactly `size` bytes into `out`, waiting until `deadline` when
+  /// `has_deadline`.
+  Status ReadExactly(uint8_t* out, size_t size,
+                     std::chrono::steady_clock::time_point deadline,
+                     bool has_deadline);
 
   int fd_ = -1;
-  /// Bytes of the inbound frame currently being assembled (prefix included).
-  /// Non-empty only when a RecvFrame timed out mid-frame.
-  std::vector<uint8_t> partial_;
 };
 
 /// A bound, listening Unix-domain socket. Unlinks any stale socket file on
@@ -137,8 +121,8 @@ class RpcListener {
 
   static StatusOr<RpcListener> ListenUnix(const std::string& path);
 
-  /// Accepts one connection; `timeout` <= 0 blocks indefinitely.
-  StatusOr<RpcConnection> Accept(std::chrono::milliseconds timeout);
+  /// Blocks until one connection arrives.
+  StatusOr<RpcConnection> Accept();
 
   const std::string& path() const { return path_; }
   bool open() const { return fd_ >= 0; }
@@ -149,9 +133,8 @@ class RpcListener {
   std::string path_;
 };
 
-/// Request/response client over one connection: assigns correlation ids,
-/// propagates deadlines, discards stale responses, and decodes error
-/// payloads back into Status.
+/// Request/response client over one connection: one call at a time, each
+/// with a fresh correlation id, error payloads decoded back into Status.
 class RpcClient {
  public:
   explicit RpcClient(RpcConnection connection)
@@ -161,12 +144,13 @@ class RpcClient {
   /// pid back. A version mismatch is FailedPrecondition.
   Status Handshake(std::chrono::milliseconds timeout);
 
-  /// One call: send request, await the matching response. `timeout` bounds
-  /// the wait for the response (the straggler detector) and is also shipped
-  /// as the frame deadline so the worker can refuse expired work.
-  StatusOr<std::vector<uint8_t>> Call(MethodId method,
-                                      const std::vector<uint8_t>& payload,
-                                      std::chrono::milliseconds timeout);
+  /// One call: send the request, then block for its response. A `timeout`
+  /// > 0 bounds the wait; when it passes, the connection is closed, so no
+  /// call is ever abandoned on a live stream. A response carrying another
+  /// call's correlation id is DataLoss.
+  StatusOr<std::vector<uint8_t>> Call(
+      MethodId method, const std::vector<uint8_t>& payload,
+      std::chrono::milliseconds timeout = std::chrono::milliseconds(0));
 
   /// Worker pid learned at handshake (0 before).
   int64_t worker_pid() const { return worker_pid_; }
@@ -182,10 +166,6 @@ class RpcClient {
 };
 
 namespace internal {
-/// Bumps vr_rpc_deadline_expirations_total; the worker serve loop calls this
-/// when it refuses an already-expired request.
-void CountDeadlineExpiration();
-
 /// Milliseconds to hand poll() while waiting for `deadline`: 0 once the
 /// deadline has passed, otherwise at least 1 — poll() treats a 0 budget as an
 /// immediate return, so rounding a sub-millisecond remainder down to 0 would

@@ -77,7 +77,6 @@ struct WorkerState {
   std::unique_ptr<storage::VideoStorageService> vss;
   std::unique_ptr<queries::SemanticCache> semantic_cache;
   std::unique_ptr<systems::Vdbms> engine;
-  int64_t instances_executed = 0;
 };
 
 StatusOr<std::vector<uint8_t>> HandleSetup(const WorkerServerOptions& options,
@@ -143,7 +142,6 @@ StatusOr<std::vector<uint8_t>> HandleExecuteRange(
         state.engine->Execute(item.instance, state.dataset, request.mode,
                               request.output_dir, &result.stats);
     result.exec_seconds = stopwatch.ElapsedSeconds();
-    ++state.instances_executed;
     if (output.ok()) {
       result.outcome = InstanceResult::kSucceeded;
       result.output = std::move(output).value();
@@ -158,13 +156,6 @@ StatusOr<std::vector<uint8_t>> HandleExecuteRange(
     results.push_back(std::move(result));
   }
   return EncodeExecuteResponse(results);
-}
-
-std::vector<uint8_t> HelloResponse() {
-  ByteWriter writer;
-  writer.U8(kRpcVersion);
-  writer.U64(static_cast<uint64_t>(::getpid()));
-  return writer.Take();
 }
 
 Status ValidateHello(const std::vector<uint8_t>& payload) {
@@ -198,25 +189,15 @@ bool ServeConnection(const WorkerServerOptions& options,
     response.correlation_id = request.correlation_id;
     response.method = request.method;
 
-    // Deadline propagation: a request whose deadline has already passed is
-    // refused without executing — the coordinator has re-dispatched it.
-    if (request.deadline_micros != 0 && NowMicros() > request.deadline_micros) {
-      internal::CountDeadlineExpiration();
-      response.type = FrameType::kResponseError;
-      response.payload = EncodeStatusPayload(
-          Status::FailedPrecondition("rpc deadline expired before execution"));
-      if (!connection.SendFrame(response).ok()) {
-        return options.exit_on_disconnect;
-      }
-      continue;
-    }
-
     StatusOr<std::vector<uint8_t>> result = [&]() ->
         StatusOr<std::vector<uint8_t>> {
       switch (request.method) {
         case MethodId::kHello: {
           VR_RETURN_IF_ERROR(ValidateHello(request.payload));
-          return HelloResponse();
+          ByteWriter hello;
+          hello.U8(kRpcVersion);
+          hello.U64(static_cast<uint64_t>(::getpid()));
+          return hello.Take();
         }
         case MethodId::kSetup:
           return HandleSetup(options, request.payload, state);
@@ -226,16 +207,6 @@ bool ServeConnection(const WorkerServerOptions& options,
                 "execute-range before setup: worker has no engine");
           }
           return HandleExecuteRange(request.payload, *state);
-        }
-        case MethodId::kHealth:
-          return HelloResponse();
-        case MethodId::kStats: {
-          WorkerStats stats;
-          if (state != nullptr) {
-            stats.engine = state->engine->stats();
-            stats.instances_executed = state->instances_executed;
-          }
-          return EncodeWorkerStats(stats);
         }
         case MethodId::kCacheExport: {
           // A worker not yet set up exports the empty set rather than
@@ -286,8 +257,7 @@ Status RunWorkerServer(const WorkerServerOptions& options) {
                       RpcListener::ListenUnix(options.socket_path));
   std::unique_ptr<WorkerState> state;
   for (;;) {
-    VR_ASSIGN_OR_RETURN(RpcConnection connection,
-                        listener.Accept(std::chrono::milliseconds(0)));
+    VR_ASSIGN_OR_RETURN(RpcConnection connection, listener.Accept());
     // State survives across connections: a coordinator that reconnects after
     // a dropped link finds the dataset and engine already built.
     if (ServeConnection(options, std::move(connection), state)) break;
@@ -346,17 +316,6 @@ void WorkerProcess::Kill() {
   // A SIGKILLed worker never removes its socket file; do it for it so a
   // killed fleet leaves nothing behind in the socket directory.
   if (!socket_path_.empty()) ::unlink(socket_path_.c_str());
-}
-
-bool WorkerProcess::Alive() {
-  if (pid_ <= 0) return false;
-  int status = 0;
-  pid_t reaped = ::waitpid(pid_, &status, WNOHANG);
-  if (reaped == pid_) {
-    pid_ = -1;  // Exited; reaped here.
-    return false;
-  }
-  return reaped == 0;
 }
 
 }  // namespace visualroad::dist

@@ -81,9 +81,6 @@ class WorkerProcess {
   /// SIGKILL + waitpid. Idempotent.
   void Kill();
 
-  /// True while the child has neither exited nor been reaped.
-  bool Alive();
-
   int pid() const { return pid_; }
   const std::string& socket_path() const { return socket_path_; }
 

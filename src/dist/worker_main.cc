@@ -1,8 +1,8 @@
 // vr_worker: the distributed execution worker process. Spawned by a
 // Coordinator (DESIGN.md Section 15) as `vr_worker --socket PATH`; serves
-// Setup/ExecuteRange/Health/Stats RPCs over the Unix-domain socket until
-// the coordinator disconnects or sends Shutdown. Not intended for manual
-// use, but harmless to run by hand.
+// Setup/ExecuteRange/CacheExport/CacheImport RPCs over the Unix-domain
+// socket until the coordinator disconnects or sends Shutdown. Not intended
+// for manual use, but harmless to run by hand.
 
 #include <cstdio>
 #include <cstring>

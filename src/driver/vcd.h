@@ -165,7 +165,7 @@ struct QueryBatchResult {
   int workers = 0;
   /// Distributed only: sum of worker-measured per-instance execution
   /// seconds — the compute the cluster spent, regardless of coordinator
-  /// overhead. Feeds the scaling bench's makespan model.
+  /// overhead.
   double worker_busy_seconds = 0.0;
 
   bool Supported() const { return unsupported < instances; }
@@ -239,12 +239,13 @@ class VisualCityDriver {
   /// PoolStats lifetime-equal-batch by accident rather than by contract.
   ThreadPool& EnsurePool();
 
-  /// Spawns (or reuses) the worker cluster for distributed batches: workers
+  /// Spawns the worker cluster for distributed batches, or reuses it and
+  /// respawns the workers an earlier batch lost (Coordinator::Heal): workers
   /// stage the dataset from shared storage when options().storage is set
   /// (see StageClusterDataset), else regenerate it, and construct `engine`'s
   /// architecture from VcdOptions::worker_engine_options. Cluster startup
-  /// happens here, before any measured window; a cluster built for a
-  /// different engine is torn down and rebuilt.
+  /// and repair happen here, before any measured window; a cluster built for
+  /// a different engine is torn down and rebuilt.
   Status EnsureCluster(systems::Vdbms& engine);
 
   /// Saves the dataset's containers into options().storage's backing store

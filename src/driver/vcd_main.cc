@@ -7,6 +7,8 @@
 // writes a chrome://tracing file covering the whole run and dumps every
 // registered Prometheus metric to stdout (see docs/OBSERVABILITY.md).
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -70,8 +72,8 @@ void PrintUsage(const char* argv0) {
       "  --faults NAME     Deterministic fault injection profile (none |\n"
       "                    flaky | lossy | cluster; DESIGN.md\n"
       "                    Section 11). Implies online execution at an\n"
-      "                    accelerated rate and storage-backed reads (a temp\n"
-      "                    store is created when --storage is not given);\n"
+      "                    accelerated rate and storage-backed reads (without\n"
+      "                    --storage, a temp store removed at exit);\n"
       "                    the report gains a Faults column with retries and\n"
       "                    degraded frames. With --workers N the run stays\n"
       "                    offline and the injector drives the rpc_send and\n"
@@ -162,6 +164,16 @@ Status DumpMetrics(const std::string& path) {
   if (!out.flush()) return Status::IoError("cannot write metrics: " + path);
   return Status::Ok();
 }
+
+/// A directory the run made for itself, removed with everything in it when
+/// the guard goes out of scope. Empty `path` = nothing to remove.
+struct OwnedDirectory {
+  std::string path;
+  ~OwnedDirectory() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+};
 
 int Run(int argc, char** argv) {
   sim::CityConfig config;
@@ -290,6 +302,10 @@ int Run(int argc, char** argv) {
   // faults act on the throttled feed) against storage-backed reads (the
   // store faults act on the read path). One injector seeded with
   // the run seed drives every site, so reruns reproduce the schedule.
+  // Without --storage the store goes into a directory of this process's
+  // own, declared before the store so it is removed after the store closes,
+  // on every return. A --storage DIR the user gave is never removed.
+  OwnedDirectory temporary_storage;
   std::unique_ptr<fault::FaultInjector> faults;
   if (!faults_name.empty()) {
     auto profile = fault::ProfileByName(faults_name);
@@ -312,10 +328,12 @@ int Run(int argc, char** argv) {
       // the pacing semantics (and the fault schedule) are unchanged.
       vcd_options.online_rate_multiplier = 200.0;
       if (storage_dir.empty()) {
-        storage_dir =
-            (std::filesystem::temp_directory_path() /
-             ("vcd-faults-" + std::to_string(config.seed)))
-                .string();
+        storage_dir = (std::filesystem::temp_directory_path() /
+                       ("vcd-faults-" + std::to_string(config.seed) + "-" +
+                        std::to_string(::getpid())))
+                          .string();
+        temporary_storage.path = storage_dir;
+        // Left by an earlier process that had this pid and was killed.
         std::error_code ec;
         std::filesystem::remove_all(storage_dir, ec);
         std::printf("Fault profile '%s': using temporary storage at %s\n",

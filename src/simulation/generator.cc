@@ -127,13 +127,10 @@ StatusOr<Dataset> VisualCityGenerator::Generate(const CityConfig& config) {
   Dataset dataset;
   dataset.config = config;
 
-  // Distributed mode runs one worker per simulated node (the source of
-  // Figure 9's linear scaling); single-node mode parallelises the same tile
-  // loop across options_.threads workers. Both are deterministic: tiles are
+  // The tile loop runs across options_.threads workers. Tiles are
   // independent (each derives its own RNG substream) and results are merged
   // in tile order, so output is byte-identical at every worker count.
-  int workers = options_.num_nodes > 1 ? options_.num_nodes
-                                       : std::max(1, options_.threads);
+  int workers = std::max(1, options_.threads);
   stats_ = GeneratorStats{};
   stats_.workers = workers;
 

@@ -38,19 +38,13 @@ struct Dataset {
 struct GeneratorOptions {
   /// Codec settings used to encode every camera's output.
   video::codec::EncoderConfig codec;
-  /// Number of simulated nodes for distributed generation; tiles are
-  /// partitioned across nodes, which render in parallel (Section 5). 1 =
-  /// single-node mode.
-  int num_nodes = 1;
-  /// Worker threads for single-node generation: tiles render and encode
-  /// concurrently, one task per tile. Output is byte-identical to the serial
-  /// path because every tile derives its own RNG substream and results are
-  /// merged in tile order. Ignored when num_nodes > 1 (each simulated node
-  /// is already one worker).
+  /// Worker threads: tiles render and encode concurrently, one task per
+  /// tile. Output is byte-identical to the serial path because every tile
+  /// derives its own RNG substream and results are merged in tile order.
   int threads = 1;
 };
 
-/// Timing breakdown for the most recent generation (drives Figures 8 and 9).
+/// Timing breakdown for the most recent generation (drives Figure 8).
 struct GeneratorStats {
   double total_seconds = 0.0;
   int64_t frames_rendered = 0;

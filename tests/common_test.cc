@@ -4,7 +4,6 @@
 #include <cmath>
 #include <set>
 
-#include "common/bitstream.h"
 #include "common/geometry.h"
 #include "common/glyphs.h"
 #include "common/random.h"
@@ -249,77 +248,6 @@ TEST(GeometryTest, WrapAngleStaysInRange) {
     EXPECT_LE(w, kPi + 1e-12);
     EXPECT_NEAR(std::sin(w), std::sin(a), 1e-9);
     EXPECT_NEAR(std::cos(w), std::cos(a), 1e-9);
-  }
-}
-
-// --- Bitstream ---
-
-TEST(BitstreamTest, SingleBitsRoundTrip) {
-  BitWriter writer;
-  bool pattern[] = {true, false, true, true, false, false, true, false, true};
-  for (bool bit : pattern) writer.WriteBit(bit);
-  std::vector<uint8_t> bytes = writer.Finish();
-  BitReader reader(bytes);
-  for (bool bit : pattern) EXPECT_EQ(reader.ReadBit(), bit);
-}
-
-TEST(BitstreamTest, MultiBitFieldsRoundTrip) {
-  BitWriter writer;
-  writer.WriteBits(0x2A, 6);
-  writer.WriteBits(0x1FFFF, 17);
-  writer.WriteBits(1, 1);
-  std::vector<uint8_t> bytes = writer.Finish();
-  BitReader reader(bytes);
-  EXPECT_EQ(reader.ReadBits(6), 0x2Au);
-  EXPECT_EQ(reader.ReadBits(17), 0x1FFFFu);
-  EXPECT_EQ(reader.ReadBits(1), 1u);
-}
-
-class GolombRoundTrip : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(GolombRoundTrip, UnsignedRoundTrips) {
-  BitWriter writer;
-  writer.WriteUe(GetParam());
-  std::vector<uint8_t> bytes = writer.Finish();
-  BitReader reader(bytes);
-  EXPECT_EQ(reader.ReadUe(), GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(Values, GolombRoundTrip,
-                         ::testing::Values(0u, 1u, 2u, 3u, 7u, 8u, 100u, 255u,
-                                           1023u, 65535u, 1000000u));
-
-TEST(BitstreamTest, SignedGolombRoundTrips) {
-  BitWriter writer;
-  int32_t values[] = {0, 1, -1, 2, -2, 17, -99, 30000, -30000};
-  for (int32_t v : values) writer.WriteSe(v);
-  std::vector<uint8_t> bytes = writer.Finish();
-  BitReader reader(bytes);
-  for (int32_t v : values) EXPECT_EQ(reader.ReadSe(), v);
-}
-
-TEST(BitstreamTest, ReaderPastEndReturnsZero) {
-  std::vector<uint8_t> bytes = {0xFF};
-  BitReader reader(bytes);
-  EXPECT_EQ(reader.ReadBits(8), 0xFFu);
-  EXPECT_EQ(reader.ReadBits(16), 0u);
-  EXPECT_TRUE(reader.Exhausted());
-}
-
-TEST(BitstreamTest, SequencesOfMixedWritesRoundTrip) {
-  Pcg32 rng(77, 5);
-  BitWriter writer;
-  std::vector<std::pair<uint64_t, int>> fields;
-  for (int i = 0; i < 500; ++i) {
-    int width = 1 + static_cast<int>(rng.NextBounded(24));
-    uint64_t value = rng.Next() & ((1ULL << width) - 1);
-    fields.push_back({value, width});
-    writer.WriteBits(value, width);
-  }
-  std::vector<uint8_t> bytes = writer.Finish();
-  BitReader reader(bytes);
-  for (const auto& [value, width] : fields) {
-    EXPECT_EQ(reader.ReadBits(width), value);
   }
 }
 

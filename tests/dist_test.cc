@@ -15,6 +15,7 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/serialize.h"
+#include "common/trace.h"
 #include "dist/coordinator.h"
 #include "dist/protocol.h"
 #include "dist/rpc.h"
@@ -57,7 +58,6 @@ TEST(RpcFramingTest, FrameRoundTrip) {
   frame.type = FrameType::kRequest;
   frame.method = MethodId::kExecuteRange;
   frame.correlation_id = 0xDEADBEEFCAFEull;
-  frame.deadline_micros = 1234567;
   frame.payload = {1, 2, 3, 250, 251, 252};
   ASSERT_TRUE(pipe.a.SendFrame(frame).ok());
   auto received = pipe.b.RecvFrame(milliseconds(1000));
@@ -65,7 +65,6 @@ TEST(RpcFramingTest, FrameRoundTrip) {
   EXPECT_EQ(received->type, frame.type);
   EXPECT_EQ(received->method, frame.method);
   EXPECT_EQ(received->correlation_id, frame.correlation_id);
-  EXPECT_EQ(received->deadline_micros, frame.deadline_micros);
   EXPECT_EQ(received->payload, frame.payload);
 }
 
@@ -157,11 +156,10 @@ TEST(RpcFramingTest, PollBudgetNeverBusyLoopsBeforeDeadline) {
   EXPECT_LE(far, 51);
 }
 
-TEST(RpcFramingTest, TimeoutMidFrameIsResumableNotDesync) {
-  // A frame delivered in two halves across a receive timeout: the first
-  // RecvFrame times out mid-frame, but the stream must stay synchronised so
-  // the retry returns the complete frame. The straggler path depends on
-  // this — a late oversize response is skipped whole, never torn.
+TEST(RpcFramingTest, TimeoutMidFrameClosesTheConnection) {
+  // A frame delivered in two halves across a receive timeout. The timed-out
+  // receive closes the connection, so the next RecvFrame fails instead of
+  // returning the frame late or parsing its tail as a new frame.
   Frame frame;
   frame.type = FrameType::kResponseOk;
   frame.correlation_id = 77;
@@ -177,14 +175,29 @@ TEST(RpcFramingTest, TimeoutMidFrameIsResumableNotDesync) {
   ASSERT_FALSE(timed_out.ok());
   EXPECT_EQ(timed_out.status().code(), StatusCode::kIoError);
   EXPECT_NE(timed_out.status().message().find("timeout"), std::string::npos);
+  EXPECT_FALSE(reader.open());
 
-  ASSERT_EQ(::send(fds[0], wire.data() + half, wire.size() - half, 0),
-            static_cast<ssize_t>(wire.size() - half));
+  // The rest may find the reader gone; MSG_NOSIGNAL keeps SIGPIPE away.
+  (void)::send(fds[0], wire.data() + half, wire.size() - half, MSG_NOSIGNAL);
   ::close(fds[0]);
-  auto resumed = reader.RecvFrame(milliseconds(1000));
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->correlation_id, frame.correlation_id);
-  EXPECT_EQ(resumed->payload, frame.payload);
+  EXPECT_FALSE(reader.RecvFrame(milliseconds(1000)).ok());
+}
+
+TEST(RpcFramingTest, ResponseForAnotherCallIsDataLoss) {
+  // Calls on a connection never overlap, so a response whose correlation id
+  // is not the call's means the stream is out of step: the call fails at
+  // once and closes the connection instead of waiting for its own response.
+  Pipe pipe = Pipe::Make();
+  Frame other;
+  other.type = FrameType::kResponseOk;
+  other.correlation_id = 999;  // The client's first call carries id 1.
+  ASSERT_TRUE(pipe.b.SendFrame(other).ok());
+  RpcClient client(std::move(pipe.a));
+  auto response = client.Call(MethodId::kCacheExport, {}, milliseconds(2000));
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kDataLoss)
+      << response.status().ToString();
+  EXPECT_FALSE(client.open());
 }
 
 // --- Count fields are bounded by the payload ---
@@ -345,27 +358,6 @@ TEST(WorkerServerTest, HandshakeAndHealth) {
   RpcClient client(std::move(connected).value());
   ASSERT_TRUE(client.Handshake(milliseconds(2000)).ok());
   EXPECT_EQ(client.worker_pid(), ::getpid());  // In-process server.
-  auto health = client.Call(MethodId::kHealth, {}, milliseconds(2000));
-  EXPECT_TRUE(health.ok());
-}
-
-TEST(WorkerServerTest, ExpiredDeadlineRefusedWithoutExecuting) {
-  InProcessWorker worker;
-  auto connected = RpcConnection::ConnectUnix(worker.path(), milliseconds(5000));
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-  RpcConnection connection = std::move(connected).value();
-  Frame request;
-  request.type = FrameType::kRequest;
-  request.method = MethodId::kHealth;
-  request.correlation_id = 99;
-  request.deadline_micros = NowMicros() - 1000000;  // One second in the past.
-  ASSERT_TRUE(connection.SendFrame(request).ok());
-  auto response = connection.RecvFrame(milliseconds(2000));
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ASSERT_EQ(response->type, FrameType::kResponseError);
-  Status refused = DecodeStatusPayload(response->payload);
-  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(refused.message().find("deadline"), std::string::npos);
 }
 
 TEST(WorkerServerTest, ExecuteRangeBeforeSetupIsFailedPrecondition) {
@@ -427,7 +419,6 @@ TEST(WorkerProcessTest, SpawnHandshakeKillReapsChild) {
 
   process.Kill();
   // Reaped: the pid no longer names a process (or at least not our zombie).
-  EXPECT_FALSE(process.Alive());
   errno = 0;
   int probe = ::kill(pid, 0);
   EXPECT_TRUE(probe == -1 && errno == ESRCH) << "worker not reaped";
@@ -670,8 +661,6 @@ TEST_F(CoordinatorTest, RpcSendFaultsAreRetried) {
   CoordinatorOptions options = BaseOptions(2);
   options.faults = &faults;
   options.chunk_size = 1;
-  options.rpc_retry.max_attempts = 12;
-  options.rpc_retry.deadline = std::chrono::microseconds(0);  // Attempts-only.
   Coordinator coordinator(options);
   ASSERT_TRUE(coordinator.Start().ok());
 
@@ -719,20 +708,6 @@ TEST(CoordinatorInternalTest, NonNegativeModFoldsNegativeIndices) {
   EXPECT_EQ(internal::NonNegativeMod(5, 0), 0);  // Degenerate fleet.
 }
 
-TEST(CoordinatorInternalTest, StragglerChunkAvoidsTheWorkerItFled) {
-  // A re-dispatched straggler chunk must not be taken back by the very
-  // worker still busy with the old request...
-  EXPECT_FALSE(internal::MayTakeChunk(/*avoid=*/1, /*worker=*/1,
-                                      /*other_live_workers=*/1));
-  // ...any other worker may take it...
-  EXPECT_TRUE(internal::MayTakeChunk(1, 0, 1));
-  // ...and self-steal is allowed as a last resort, when nobody else lives.
-  EXPECT_TRUE(internal::MayTakeChunk(1, 1, 0));
-  // Untagged chunks are eligible everywhere.
-  EXPECT_TRUE(internal::MayTakeChunk(-1, 0, 1));
-  EXPECT_TRUE(internal::MayTakeChunk(-1, 1, 0));
-}
-
 TEST_F(CoordinatorTest, NegativeVideoIndexDispatchesWithoutCorruption) {
   // Regression: a negative (unset) video_index or pano_group used to index
   // the share vector at -1 during partitioning. The batch must dispatch
@@ -759,34 +734,6 @@ TEST_F(CoordinatorTest, NegativeVideoIndexDispatchesWithoutCorruption) {
   }
   EXPECT_NE((*outcomes)[3].state, DistInstanceOutcome::kSucceeded);
   EXPECT_NE((*outcomes)[4].state, DistInstanceOutcome::kSucceeded);
-}
-
-TEST_F(CoordinatorTest, StragglerRedispatchCompletesOnAnotherWorker) {
-  // A 1ms straggler deadline fires on every chunk a worker runs cold. The
-  // fled worker must not re-take its own chunk (the avoid tag), so every
-  // re-dispatch lands on the other worker — and the batch still completes
-  // exactly once per instance because merge keeps the first result.
-  // Q2(c) runs the detector, so a cold chunk takes several milliseconds; a
-  // Q1 instance on this fixture executes in 0.6-0.9 ms and often beat the
-  // deadline, leaving nothing to re-dispatch.
-  CoordinatorOptions options = BaseOptions(2);
-  options.chunk_size = 1;
-  options.call_timeout = milliseconds(1);
-  Coordinator coordinator(options);
-  ASSERT_TRUE(coordinator.Start().ok());
-
-  std::vector<queries::QueryInstance> batch = SampleBatch(queries::QueryId::kQ2c, 3);
-  DistBatchStats stats;
-  auto outcomes = coordinator.ExecuteBatch(batch, systems::OutputMode::kWrite,
-                                           "", &stats);
-  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
-  ASSERT_EQ(outcomes->size(), batch.size());
-  for (const DistInstanceOutcome& outcome : *outcomes) {
-    EXPECT_EQ(outcome.state, DistInstanceOutcome::kSucceeded) << outcome.error;
-  }
-  EXPECT_GE(stats.straggler_redispatches, 1);
-  EXPECT_GE(stats.in_flight_peak, 1);
-  EXPECT_EQ(coordinator.live_workers(), 2);
 }
 
 // --- Storage staging ---
@@ -955,20 +902,32 @@ TEST_F(CoordinatorTest, LostWorkersRespawnAndWarmFromSurvivorCache) {
   EXPECT_GE(stats1.workers_lost, 1);
   ASSERT_EQ(coordinator.live_workers(), 1);
 
-  // Batch 2 heals the fleet first: lost slots respawn and each replacement
-  // is warmed from the survivor's exported cache before dispatch.
+  // Between batches the fleet heals: lost slots respawn and each
+  // replacement is warmed from the survivor's exported cache.
+  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+  metrics::Counter& respawned =
+      registry.GetCounter("vr_dist_workers_respawned_total", "");
+  metrics::Counter& shipped_entries =
+      registry.GetCounter("vr_dist_cache_shipped_entries_total", "");
+  metrics::Counter& shipped_bytes =
+      registry.GetCounter("vr_dist_cache_shipped_bytes_total", "");
+  const double respawned_before = respawned.Value();
+  const double entries_before = shipped_entries.Value();
+  const double bytes_before = shipped_bytes.Value();
+  coordinator.Heal();
+  EXPECT_EQ(coordinator.live_workers(), 3);
+  EXPECT_GE(respawned.Value() - respawned_before, 1.0);
+  EXPECT_GT(shipped_entries.Value() - entries_before, 0.0);
+  EXPECT_GT(shipped_bytes.Value() - bytes_before, 0.0);
+
   std::vector<queries::QueryInstance> second =
       SampleBatch(queries::QueryId::kQ1, 3);
-  DistBatchStats stats2;
   auto outcomes2 = coordinator.ExecuteBatch(second, systems::OutputMode::kWrite,
-                                            "", &stats2);
+                                            "", nullptr);
   ASSERT_TRUE(outcomes2.ok()) << outcomes2.status().ToString();
   for (const DistInstanceOutcome& outcome : *outcomes2) {
     EXPECT_EQ(outcome.state, DistInstanceOutcome::kSucceeded) << outcome.error;
   }
-  EXPECT_GE(stats2.workers_respawned, 1);
-  EXPECT_GT(stats2.cache_entries_shipped, 0);
-  EXPECT_GT(stats2.cache_bytes_shipped, 0);
 }
 
 // --- Driver integration ---
@@ -1084,6 +1043,51 @@ TEST_F(CoordinatorTest, DriverRestagesAStoreOfAnotherDataset) {
   EXPECT_EQ(result->validation.passed, result->validation.checked);
   EXPECT_EQ(store.stats().bytes_written, written);
   std::filesystem::remove_all(store_options.root);
+}
+
+TEST_F(CoordinatorTest, DriverRepairsTheFleetOutsideTheMeasuredWindow) {
+  // Every dispatch crashes its worker (the last one is spared), so the
+  // second batch starts with lost workers. Their respawn, Setup and cache
+  // warm-start are provisioning: none of it may run inside a "vcd:" span,
+  // the measured window.
+  fault::FaultProfile profile;
+  profile.name = "crash-every-dispatch";
+  profile.prob(fault::Site::kWorkerCrash) = 1.0;
+  fault::FaultInjector faults(profile, 17);
+
+  driver::VcdOptions vcd_options;
+  vcd_options.workers = 3;
+  vcd_options.faults = &faults;
+  vcd_options.trace = true;
+  const size_t first_event = trace::EventCount();
+  driver::VisualCityDriver vcd(*dataset_, vcd_options);
+  systems::EngineOptions engine_options;
+  auto engine = systems::MakePipelineEngine(engine_options);
+  for (queries::QueryId id : {queries::QueryId::kQ2c, queries::QueryId::kQ1}) {
+    auto result = vcd.RunQueryBatch(*engine, id);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->succeeded, result->instances);
+  }
+  std::vector<trace::Event> events = trace::EventsSince(first_event);
+  trace::SetEnabled(false);
+
+  std::vector<const trace::Event*> windows;
+  std::vector<const trace::Event*> repairs;
+  for (const trace::Event& event : events) {
+    if (event.name.rfind("vcd:", 0) == 0) windows.push_back(&event);
+    if (event.name == "dist:heal" || event.name == "dist:cache_ship") {
+      repairs.push_back(&event);
+    }
+  }
+  ASSERT_EQ(windows.size(), 2u);
+  ASSERT_FALSE(repairs.empty()) << "the second batch found no worker lost";
+  for (const trace::Event* repair : repairs) {
+    for (const trace::Event* window : windows) {
+      bool overlaps = repair->start_us < window->start_us + window->dur_us &&
+                      window->start_us < repair->start_us + repair->dur_us;
+      EXPECT_FALSE(overlaps) << repair->name << " runs inside " << window->name;
+    }
+  }
 }
 
 TEST_F(CoordinatorTest, FaultedDriverRunCompletesWithValidResults) {

@@ -691,6 +691,8 @@ TEST_F(GeneratorTest, PanoramicGroupHasFourOrderedFaces) {
 }
 
 TEST(GeneratorModesTest, DistributedMatchesSingleNode) {
+  // The generator's one multi-worker mode is its tile pool (threads); four
+  // workers must produce what one does.
   CityConfig config;
   config.scale_factor = 2;
   config.width = 64;
@@ -698,10 +700,10 @@ TEST(GeneratorModesTest, DistributedMatchesSingleNode) {
   config.duration_seconds = 0.5;
   config.fps = 16;
   config.seed = 11;
-  sim::GeneratorOptions single, distributed;
-  single.num_nodes = 1;
-  distributed.num_nodes = 4;
-  VisualCityGenerator a(single), b(distributed);
+  sim::GeneratorOptions single, pooled;
+  single.threads = 1;
+  pooled.threads = 4;
+  VisualCityGenerator a(single), b(pooled);
   auto da = a.Generate(config);
   auto db = b.Generate(config);
   ASSERT_TRUE(da.ok());
